@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Sequence
 
 Rational = Fraction
@@ -115,31 +116,83 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
+def _integer_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[int]]:
+    """Copy of a rational matrix with each row scaled by the lcm of its
+    denominators; scaling a row by a nonzero factor keeps the row space,
+    hence the rank and the kernel."""
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionError("ragged matrix")
+        mult = lcm(*(x.denominator for x in row))
+        out.append([int(x * mult) for x in row])
+    return out
+
+
+def _fraction_free_reduce(mat: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Bareiss's update (pivot * entry - multiplier * pivot-row entry) divided
+    by the previous pivot is an exact integer division at every step, and
+    clearing above the pivot as well as below keeps it exact. Returns the
+    pivot columns and the last pivot d: pivot row i then carries d in its
+    own pivot column and 0 in the others, the rows below the pivots are
+    zero, and dividing by d gives the reduced row echelon form.
+    """
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        found = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if found is None:
+            continue
+        mat[r], mat[found] = mat[found], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                mat[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                mat[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, prev
+
+
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank of a rational matrix."""
-    return len(rref(rows)[1])
+    if not rows:
+        return 0
+    return len(_fraction_free_reduce(_integer_rows(rows, len(rows[0])))[0])
 
 
 def kernel_line(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[int, ...] | None:
     """Primitive integer spanning vector of a one-dimensional kernel.
 
     Returns None unless the kernel of the matrix (acting on column
-    vectors of length `ncols`) has dimension exactly one.
+    vectors of length `ncols`) has dimension exactly one. The sign makes
+    the coordinate of the non-pivot column positive.
     """
-    if not rows:
-        mat, pivots = [], []
-    else:
-        mat, pivots = rref(rows)
+    mat = _integer_rows(rows, ncols)
+    pivots, d = _fraction_free_reduce(mat)
     if ncols - len(pivots) != 1:
         return None
     free = next(c for c in range(ncols) if c not in pivots)
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        vec[c] = -mat[r][free]
-    mult = lcm(*(x.denominator for x in vec))
-    ints = [int(x * mult) for x in vec]
-    return primitive_vector(ints)
+    # The reduced form is mat / d, so the kernel is spanned by d at the
+    # free column and -mat[i][free] at the i-th pivot column.
+    sign = 1 if d > 0 else -1
+    vec = [0] * ncols
+    vec[free] = d * sign
+    for i, c in enumerate(pivots):
+        vec[c] = -mat[i][free] * sign
+    return primitive_vector(vec)
 
 
 @dataclass(frozen=True)
@@ -213,19 +266,17 @@ def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> So
 
 
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact integer inverse of a square integer matrix with determinant +-1."""
+    """Exact integer inverse of a square integer matrix with determinant +-1.
+
+    Eliminates [A | I] fraction-free; the left block ends as d I and the
+    right one as d A^-1, where d = +-det A is the last pivot, so for a
+    unimodular A the inverse is the right block times d.
+    """
     n = len(rows)
-    det = int_det(rows)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (determinant {det})")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = [[red[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("inverse is not integral")
-        out.append([int(x) for x in row])
-    return out
+    if any(len(row) != n for row in rows):
+        raise DimensionError("unimodular_inverse requires a square matrix")
+    aug = [[index(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, d = _fraction_free_reduce(aug)
+    if pivots != list(range(n)) or d not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (determinant {int_det(rows)})")
+    return [[x * d for x in row[n:]] for row in aug]

@@ -24,11 +24,12 @@ every intermediate covector integral.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cones import Fan
 from .exact import unimodular_inverse
@@ -48,6 +49,7 @@ __all__ = [
     "LinearSystem",
     "assemble_system",
     "SystemSolution",
+    "ConeAtlas",
     "solve_system",
     "solve_e10",
     "squarefree_value",
@@ -121,6 +123,14 @@ def _is_squarefree(mono: Sequence[int]) -> bool:
 
 def _bump(mono: Monomial, index: int) -> Monomial:
     return mono[:index] + (mono[index] + 1,) + mono[index + 1 :]
+
+
+def _mask(rays: Iterable[int]) -> int:
+    """Bitmask with bit r set for each ray index r."""
+    mask = 0
+    for r in rays:
+        mask |= 1 << r
+    return mask
 
 
 @dataclass(frozen=True)
@@ -280,7 +290,8 @@ class SystemSolution:
 
     Values are integers: every unknown is obtained from the integer
     inverse of a basic cone matrix acting on previously solved integer
-    values, starting from square-free constants.
+    values, starting from square-free constants. `rank` counts the
+    columns some block solved and `free_columns` lists those none did.
     """
 
     values: dict[Monomial, int]
@@ -293,7 +304,67 @@ class SystemSolution:
     e_top: int
 
 
-def solve_system(system: LinearSystem) -> SystemSolution:
+class ConeAtlas:
+    """Integer data of a basic fan's top cones, each item computed once.
+
+    `vectors[r]` is the lattice vector of ray r. Per top cone the atlas
+    keeps the integer inverse of the matrix whose columns are the cone's
+    ray vectors, and per ray rho of the cone the nonzero values
+    (rp, coeff) of the covector dual to rho on the rays rp outside the
+    cone; on the cone's other rays that covector vanishes. Containing
+    cones are looked up by bitmasks of ray indices. Both intersection
+    engines read one atlas, so the inverses of a fan are computed once.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence[int]], top_cones: Sequence[frozenset[int]]):
+        self.vectors = tuple(tuple(v) for v in vectors)
+        self.top_cones = tuple(top_cones)
+        self._masks = tuple(_mask(c) for c in self.top_cones)
+        self._containing: dict[int, int | None] = {}
+        self._inverses: dict[int, tuple[list[list[int]], tuple[int, ...]]] = {}
+        self._terms: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def cone_for(self, mask: int) -> int | None:
+        """Index of the first top cone containing every ray of `mask`,
+        or None if no top cone does."""
+        got = self._containing.get(mask, -1)
+        if got == -1:
+            got = next((ci for ci, cm in enumerate(self._masks) if not mask & ~cm), None)
+            self._containing[mask] = got
+        return got
+
+    def inverse(self, ci: int) -> tuple[list[list[int]], tuple[int, ...]]:
+        """The cone's rays in increasing order, with the inverse whose
+        row k is the covector dual to the k-th of them."""
+        got = self._inverses.get(ci)
+        if got is None:
+            cols = tuple(sorted(self.top_cones[ci]))
+            mat = [[self.vectors[r][j] for r in cols] for j in range(len(self.vectors[0]))]
+            got = (unimodular_inverse(mat), cols)
+            self._inverses[ci] = got
+        return got
+
+    def terms(self, ci: int, rho: int) -> tuple[tuple[int, int], ...]:
+        """Nonzero (rp, coeff) of the covector dual to ray rho in cone ci,
+        over the rays rp outside the cone, in increasing order of rp."""
+        key = (ci, rho)
+        got = self._terms.get(key)
+        if got is None:
+            inv, cols = self.inverse(ci)
+            mu = inv[cols.index(rho)]
+            cone = self.top_cones[ci]
+            got = tuple(
+                (rp, coeff)
+                for rp, vec in enumerate(self.vectors)
+                if rp not in cone
+                for coeff in (sum(a * b for a, b in zip(mu, vec)),)
+                if coeff
+            )
+            self._terms[key] = got
+        return got
+
+
+def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> SystemSolution:
     """Solve the block system exactly, largest supports first.
 
     The block of a multiplier with support S has unknown columns indexed
@@ -302,45 +373,34 @@ def solve_system(system: LinearSystem) -> SystemSolution:
     unknowns uniquely once larger supports are known. Expressing the
     block's right-hand side in the cone's unimodular ray basis both
     solves for the unknowns (coordinates inside the support) and checks
-    consistency (coordinates outside the support must vanish). Every row
-    of the system belongs to exactly one block, so the checks cover the
-    whole system and rank equals the number of unknowns.
+    consistency (coordinates outside the support must vanish). Each
+    column of `unknown_index` must be solved by exactly one block: a
+    column solved twice is a problem, and columns no block solves are
+    reported as free and lower the rank.
+
+    `atlas` supplies the cone inverses; it must describe the system's
+    own relations, and a fresh one is built when it is omitted.
     """
     fan = system.fan
     e = system.e_index
     n = fan.ambient
     n_rays = len(fan.rays)
-    # Coefficients come from the stored relations so that iter_rows and
+    # Ray vectors come from the stored relations so that iter_rows and
     # this solver always describe the same equations.
-    coeff = [rel.coefficients for rel in system.relations]
+    vectors = tuple(zip(*(rel.coefficients for rel in system.relations)))
+    if atlas is None:
+        atlas = ConeAtlas(vectors, fan.top_cones)
+    elif atlas.vectors != vectors or atlas.top_cones != fan.top_cones:
+        raise ValueError("the cone atlas does not describe the system's relations")
+    index = system.unknown_index
+    solved = dict.fromkeys(index.values(), 0)
     values: dict[Monomial, int] = {}
     problems: list[str] = []
-    inverses: dict[int, tuple[list[list[int]], tuple[int, ...]]] = {}
-    containing: dict[frozenset[int], int] = {}
-
-    def cone_for(supp: frozenset[int]) -> int:
-        got = containing.get(supp)
-        if got is None:
-            got = next(
-                ci for ci, c in enumerate(fan.top_cones) if supp <= c
-            )
-            containing[supp] = got
-        return got
-
-    def inverse_for(ci: int) -> tuple[list[list[int]], tuple[int, ...]]:
-        got = inverses.get(ci)
-        if got is None:
-            cols = tuple(sorted(fan.top_cones[ci]))
-            mat = [[coeff[j][r] for r in cols] for j in range(n)]
-            got = (unimodular_inverse(mat), cols)
-            inverses[ci] = got
-        return got
-
     for mult in reversed(system.multipliers):
         s = frozenset(i for i in range(n_rays) if i != e and mult[i] > 0)
         t = len(s)
         supp = s | {e}
-        inv, cols = inverse_for(cone_for(supp))
+        inv, cols = atlas.inverse(atlas.cone_for(_mask(supp)))
         rhs = [0] * n
         for rho in range(n_rays):
             if rho in supp:
@@ -350,29 +410,40 @@ def solve_system(system: LinearSystem) -> SystemSolution:
             val = 1 if t == n - 2 else values[_bump(mult, rho)]
             if val == 0:
                 continue
-            for j in range(n):
-                c = coeff[j][rho]
+            for j, c in enumerate(vectors[rho]):
                 if c:
                     rhs[j] -= c * val
-        for k, ray_k in enumerate(cols):
-            y = sum(inv[k][j] * rhs[j] for j in range(n))
+        for ray_k, row in zip(cols, inv):
+            y = sum(map(operator.mul, row, rhs))
             if ray_k in supp:
-                values[_bump(mult, ray_k)] = y
+                mono = _bump(mult, ray_k)
+                values[mono] = y
+                col = index.get(mono)
+                if col is None:
+                    problems.append(
+                        f"block {format_monomial(mult)} solves {format_monomial(mono)}, "
+                        "which is not a column"
+                    )
+                else:
+                    solved[col] += 1
             elif y != 0:
                 problems.append(
                     f"block {format_monomial(mult)}: coefficient of ray {ray_k} "
                     f"must vanish but equals {y}"
                 )
+    for mono, col in index.items():
+        if solved[col] > 1:
+            problems.append(f"column {format_monomial(mono)} is solved by {solved[col]} blocks")
+    free_columns = tuple(sorted(col for col, times in solved.items() if times == 0))
     e_top_mono = _power_monomial(n_rays, e, n, frozenset())
-    consistent = not problems
     return SystemSolution(
         values=values,
-        consistent=consistent,
+        consistent=not problems,
         problems=tuple(problems),
         n_unknowns=system.n_unknowns,
         n_rows=system.n_rows,
-        rank=system.n_unknowns,
-        free_columns=(),
+        rank=len(solved) - len(free_columns),
+        free_columns=free_columns,
         e_top=values[e_top_mono],
     )
 
@@ -404,11 +475,14 @@ def squarefree_value(mono: Sequence[int], fan: Fan) -> int:
 
 
 class IntersectionEngine:
-    """Shared caches for both engines over one fan.
+    """Both engines over one fan, reading one shared cone atlas.
 
-    The recursive evaluator and the block solver use the same containing
-    cone lookup and the same integer cone inverses; the linear system is
-    assembled and solved lazily on first use.
+    The recursive evaluator and the block solver find containing cones
+    and integer cone inverses in `atlas`, so each inverse is computed
+    once per engine; the evaluator also reads its covector terms there.
+    The linear system is assembled and solved lazily on first use. The
+    verification suite rebuilds every row from the raw relations, so a
+    fault in the shared atlas still shows.
     """
 
     def __init__(self, fan: Fan, e_index: int = 0):
@@ -416,10 +490,8 @@ class IntersectionEngine:
             raise IndexError("exceptional ray index out of range")
         self.fan = fan
         self.e_index = e_index
-        self._top_set = set(fan.top_cones)
+        self.atlas = ConeAtlas(fan.rays, fan.top_cones)
         self._memo: dict[Monomial, int] = {}
-        self._containing: dict[frozenset[int], int | None] = {}
-        self._inverses: dict[int, tuple[list[list[int]], tuple[int, ...]]] = {}
         self._system: LinearSystem | None = None
         self._solution: SystemSolution | None = None
 
@@ -432,7 +504,7 @@ class IntersectionEngine:
     @property
     def solution(self) -> SystemSolution:
         if self._solution is None:
-            self._solution = solve_system(self.system)
+            self._solution = solve_system(self.system, self.atlas)
         return self._solution
 
     @property
@@ -455,29 +527,11 @@ class IntersectionEngine:
             return self.squarefree_value(key)
         return self.solution.values.get(key)
 
-    def _cone_for(self, supp: frozenset[int]) -> int | None:
-        got = self._containing.get(supp, -1)
-        if got == -1:
-            got = next(
-                (ci for ci, c in enumerate(self.fan.top_cones) if supp <= c),
-                None,
-            )
-            self._containing[supp] = got
-        return got
-
-    def _inverse_for(self, ci: int) -> tuple[list[list[int]], tuple[int, ...]]:
-        got = self._inverses.get(ci)
-        if got is None:
-            cols = tuple(sorted(self.fan.top_cones[ci]))
-            mat = [[self.fan.rays[r][j] for r in cols] for j in range(self.fan.ambient)]
-            got = (unimodular_inverse(mat), cols)
-            self._inverses[ci] = got
-        return got
-
     def evaluate(self, mono: Sequence[int]) -> int:
         """Recursive engine: exact value of any degree-n monomial with
-        positive exceptional exponent."""
-        key = tuple(int(x) for x in mono)
+        positive exceptional exponent. Exponents must be integers;
+        anything else raises TypeError rather than being truncated."""
+        key = tuple(map(operator.index, mono))
         if len(key) != len(self.fan.rays):
             raise ValueError("monomial length does not match the ray count")
         if any(x < 0 for x in key):
@@ -492,35 +546,29 @@ class IntersectionEngine:
         return self._eval(key)
 
     def _eval(self, mono: Monomial) -> int:
+        """`evaluate` without its argument checks, for monomials that
+        come from the system itself: a tuple of nonnegative ints, one
+        per ray, of degree equal to the ambient dimension."""
         cached = self._memo.get(mono)
         if cached is not None:
             return cached
-        supp = _support(mono)
-        ci = self._cone_for(supp)
+        ci = self.atlas.cone_for(_mask(i for i, x in enumerate(mono) if x))
         if ci is None:
-            self._memo[mono] = 0
-            return 0
-        if _is_squarefree(mono):
-            # Degree n and square-free: the support has n rays inside an
-            # n-ray cone, so it equals that cone's ray set.
-            self._memo[mono] = 1
-            return 1
-        if mono[self.e_index] >= 2:
-            rho = self.e_index
+            value = 0
         else:
-            rho = next(i for i in sorted(supp) if mono[i] >= 2)
-        inv, cols = self._inverse_for(ci)
-        mu = inv[cols.index(rho)]
-        base = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1 :]
-        total = 0
-        for rp in range(len(self.fan.rays)):
-            if rp in supp:
-                continue
-            coeff = sum(mu[j] * self.fan.rays[rp][j] for j in range(self.fan.ambient))
-            if coeff:
-                total -= coeff * self._eval(_bump(base, rp))
-        self._memo[mono] = total
-        return total
+            e = self.e_index
+            rho = e if mono[e] >= 2 else next((i for i, x in enumerate(mono) if x >= 2), None)
+            if rho is None:
+                # Degree n and square-free: the support has n rays inside
+                # an n-ray cone, so it equals that cone's ray set.
+                value = 1
+            else:
+                base = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1 :]
+                value = 0
+                for rp, coeff in self.atlas.terms(ci, rho):
+                    value -= coeff * self._eval(_bump(base, rp))
+        self._memo[mono] = value
+        return value
 
 
 def evaluate_recursive(

@@ -17,9 +17,9 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Sequence
 
-from .cones import Cone, Fan, cone_dim, enumerate_facets
+from .cones import Cone, Fan, enumerate_facets
 from .d4fan import StarFan, Stabilizer, build_star_fan, compute_stabilizer
-from .exact import int_det, kernel_line, primitive_vector, rref
+from .exact import int_det, primitive_vector, rref
 from .intersection import IntersectionEngine, solve_e10
 from .proportionality import bernoulli, l_top
 from .tables import (
@@ -132,15 +132,30 @@ def _cofactor_det(rows: Sequence[Sequence[int]]) -> int:
     return total
 
 
+def _rref_kernel_line(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Fraction] | None:
+    """Spanning vector of a one-dimensional kernel, read off the rational
+    reduced row echelon form rather than the fraction-free elimination
+    that enumerate_facets uses."""
+    red, pivots = rref(rows)
+    if ncols - len(pivots) != 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        vec[c] = -red[r][free]
+    return vec
+
+
 def _facets_by_subset_scan(cone: Cone):
     """Independent facet oracle: test every generator subset for spanning
     a supporting hyperplane whose zero set is exactly that subset."""
     gens = cone.generators
-    d = cone_dim(cone)
+    red, pivots = rref(gens)
+    d = len(pivots)
     if d <= 1:
         return frozenset()
-    red, pivots = rref(gens)
-    basis = [red[i] for i in range(len(pivots))]
+    basis = [red[i] for i in range(d)]
     results = set()
     for size in range(1, len(gens)):
         for subset in combinations(range(len(gens)), size):
@@ -151,7 +166,7 @@ def _facets_by_subset_scan(cone: Cone):
                 ]
                 for i in subset
             ]
-            coeffs = kernel_line(constraint, d)
+            coeffs = _rref_kernel_line(constraint, d)
             if coeffs is None:
                 continue
             vec = [
@@ -313,16 +328,20 @@ def run_all(
         )
     )
 
-    # 7. Cross-agreement of the two engines, and every row identity.
+    # 7. Cross-agreement of the two engines, and every row identity. The
+    # rows are rebuilt from the raw relations rather than the shared cone
+    # atlas. Every monomial comes from the system itself, so the sweep
+    # skips the argument checks of the public evaluate.
+    evaluate = engine._eval
     mismatches = 0
     for mono, value in sol.values.items():
-        if engine.evaluate(mono) != value:
+        if evaluate(mono) != value:
             mismatches += 1
     bad_rows = 0
     for row in engine.system.iter_rows():
         total = 0
         for mono, coeff in row.products:
-            total += coeff * engine.evaluate(mono)
+            total += coeff * evaluate(mono)
         if total != 0:
             bad_rows += 1
     checks.append(

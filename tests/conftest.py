@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -24,6 +27,15 @@ def stabilizer(star):
 @pytest.fixture(scope="session")
 def engine(star):
     return IntersectionEngine(star.fan, star.e_index)
+
+
+@pytest.fixture(scope="session")
+def cli_env():
+    """Environment for `python -m a4toric` subprocesses: the checkout's
+    sources come first, so no install is needed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 _acceptance_lines: list[str] = []

@@ -215,10 +215,10 @@ def test_criterion_9_oracle_suites(acceptance_log):
     assert not problems, problems
 
 
-def test_criterion_10_byte_determinism(acceptance_log):
+def test_criterion_10_byte_determinism(acceptance_log, cli_env):
     cmd = [sys.executable, "-m", "a4toric", "verify", "--json", "--reproducible"]
-    first = subprocess.run(cmd, capture_output=True, timeout=300)
-    second = subprocess.run(cmd, capture_output=True, timeout=300)
+    first = subprocess.run(cmd, capture_output=True, timeout=300, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, timeout=300, env=cli_env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

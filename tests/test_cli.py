@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from a4toric import cli
 from a4toric.cli import main
+from a4toric.intersection import IntersectionEngine
 from a4toric.tables import FaberData
 
 
@@ -222,6 +224,19 @@ def test_verify_fault_injection(capsys):
     )
 
 
+def test_corrupted_shared_inverse_fails_verify(capsys, monkeypatch, star, stabilizer):
+    engine = IntersectionEngine(star.fan, star.e_index)
+    inv, _ = engine.atlas.inverse(0)
+    inv[0][0] += 1
+    # verify hands this engine to run_all. Both engines read the corrupted
+    # inverse, but the row sweep rebuilds every row from the raw relations.
+    monkeypatch.setattr(cli, "_context", lambda: (star, stabilizer, engine))
+    code = main(["verify", "--reproducible"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert any(l.startswith("[FAIL] engine_agreement") for l in out.splitlines())
+
+
 def test_timestamp_presence(capsys):
     with_ts = run_json(capsys, ["tables", "ltop", "--format", "json"])
     assert "generated_at" in with_ts
@@ -238,12 +253,13 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_subprocess_smoke():
+def test_subprocess_smoke(cli_env):
     proc = subprocess.run(
         [sys.executable, "-m", "a4toric", "tables", "ltop", "--format", "json", "--reproducible"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=cli_env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

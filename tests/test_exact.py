@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -178,3 +179,114 @@ def test_unimodular_inverse_roundtrip(mat):
         for i in range(n)
     ]
     assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def fraction_inverse(mat):
+    """Reference inverse from the rational RREF of [A | I]; None if singular."""
+    n = len(mat)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red[:n]]
+
+
+def fraction_kernel_line(rows, ncols):
+    """Reference kernel line from the rational RREF, free coordinate positive."""
+    red, pivots = rref(rows) if rows else ([], [])
+    if ncols - len(pivots) != 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        vec[c] = -red[r][free]
+    mult = lcm(*(x.denominator for x in vec))
+    return primitive_vector([int(x * mult) for x in vec])
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Row-permuted products L U with L unit lower triangular and U upper
+    triangular with diagonal entries +-1."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [
+        [draw(st.sampled_from((1, -1))) if i == j else draw(entry) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    product = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [product[i] for i in draw(st.permutations(range(n)))]
+
+
+@given(unimodular_matrices())
+def test_unimodular_inverse_matches_fraction_rref(mat):
+    inv = unimodular_inverse(mat)
+    assert all(type(x) is int for row in inv for x in row)
+    assert inv == fraction_inverse(mat)
+
+
+@given(st.integers(1, 4).flatmap(small_int_matrix))
+def test_unimodular_inverse_rejects_what_fraction_rref_rejects(mat):
+    ref = fraction_inverse(mat)
+    if ref is None or abs(int_det(mat)) != 1:
+        with pytest.raises(ValueError):
+            unimodular_inverse(mat)
+    else:
+        assert unimodular_inverse(mat) == ref
+
+
+@st.composite
+def kernel_cases(draw):
+    """Integer combinations of `r` random rows, so the rank is at most r."""
+    ncols = draw(st.integers(1, 6))
+    r = draw(st.integers(0, ncols))
+    entry = st.integers(-4, 4)
+    base = [[draw(entry) for _ in range(ncols)] for _ in range(r)]
+    nrows = draw(st.integers(0, 6))
+    rows = [
+        [sum(c * b[j] for c, b in zip(cs, base)) for j in range(ncols)]
+        for cs in ([draw(st.integers(-2, 2)) for _ in base] for _ in range(nrows))
+    ]
+    return rows, ncols
+
+
+@given(kernel_cases())
+def test_kernel_line_matches_fraction_rref(case):
+    rows, ncols = case
+    line = kernel_line(rows, ncols)
+    assert line == fraction_kernel_line(rows, ncols)
+    if line is not None:
+        assert all(sum(a * b for a, b in zip(row, line)) == 0 for row in rows)
+
+
+@given(kernel_cases(), st.lists(rationals.filter(bool), min_size=6, max_size=6))
+def test_kernel_line_of_rational_rows(case, scales):
+    rows, ncols = case
+    scaled = [[Fraction(x) * q for x in row] for row, q in zip(rows, scales)]
+    assert kernel_line(scaled, ncols) == kernel_line(rows, ncols) == fraction_kernel_line(scaled, ncols)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4).map(lambda rows: (rows, n))))
+def test_kernel_line_of_arbitrary_rational_rows(case):
+    rows, ncols = case
+    assert kernel_line(rows, ncols) == fraction_kernel_line(rows, ncols)
+
+
+def test_kernel_line_rank_deficient_is_none():
+    assert kernel_line([[1, 2, 3], [2, 4, 6]], 3) is None
+    assert kernel_line([[0, 0, 0]], 3) is None
+    assert kernel_line([[1, 2], [3, 4]], 2) is None
+    assert kernel_line([], 1) == (1,)
+
+
+def test_integer_kernels_build_no_fraction(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built from integer input")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2)
+    assert unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert kernel_line([[1, 2, 3], [4, 5, 6]], 3) == (1, -2, 1)
+    assert rank([[1, 2, 3], [2, 4, 6]]) == 1

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from a4toric.exact import solve_exact
+from a4toric import intersection
+from a4toric.exact import solve_exact, unimodular_inverse
 from a4toric.intersection import (
+    ConeAtlas,
     InconsistentSystemError,
     IntersectionEngine,
     LinearRelation,
@@ -23,7 +25,7 @@ from a4toric.intersection import (
     solve_system,
     squarefree_value,
 )
-from a4toric.verify import plane_blowup_fan, projective_plane_fan
+from a4toric.verify import plane_blowup_fan, projective_plane_fan, run_all
 
 E_TOP = -1680
 N_MULTIPLIERS = 3311
@@ -261,6 +263,73 @@ def test_doctored_relations_are_caught():
     assert any("must vanish" in p for p in sol.problems)
     with pytest.raises(InconsistentSystemError):
         solve_e10(system)
+    # An atlas of the undoctored rays does not describe these relations.
+    with pytest.raises(ValueError):
+        solve_system(system, ConeAtlas(fan.rays, fan.top_cones))
+
+
+def test_engines_share_one_atlas(star, monkeypatch):
+    made = []
+
+    def counting_inverse(mat):
+        made.append(mat)
+        return unimodular_inverse(mat)
+
+    monkeypatch.setattr(intersection, "unimodular_inverse", counting_inverse)
+    eng = IntersectionEngine(star.fan, star.e_index)
+    mono = (2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
+    assert eng.evaluate(mono) == eng.system_value(mono)
+    for mono in random.Random(5).sample(sorted(eng.solution.values), 200):
+        assert eng.evaluate(mono) == eng.solution.values[mono]
+    # One inverse per cone, whichever engine asked first.
+    assert 0 < len(made) <= len(star.fan.top_cones)
+    assert len({tuple(map(tuple, mat)) for mat in made}) == len(made)
+    inv, cols = eng.atlas.inverse(0)
+    for k, rho in enumerate(cols):
+        for rp, coeff in eng.atlas.terms(0, rho):
+            assert rp not in cols
+            assert coeff == sum(a * b for a, b in zip(inv[k], star.fan.rays[rp]))
+
+
+def test_cone_for_finds_first_containing_cone(star):
+    atlas = ConeAtlas(star.fan.rays, star.fan.top_cones)
+    for supp in ({0}, set(sorted(star.fan.top_cones[5])[:4]), set(star.fan.top_cones[17])):
+        mask = sum(1 << r for r in supp)
+        want = next(ci for ci, c in enumerate(star.fan.top_cones) if supp <= c)
+        assert atlas.cone_for(mask) == want
+    # Ten boundary rays without the barycenter lie in no top cone.
+    assert atlas.cone_for(sum(1 << r for r in range(1, 11))) is None
+
+
+def test_unsolved_column_is_free():
+    system = assemble_system(plane_blowup_fan(), e_index=2)
+    system.unknown_index[(1, 1, 0)] = 1
+    sol = solve_system(system)
+    assert sol.consistent
+    assert sol.free_columns == (1,)
+    assert sol.rank == 1
+    assert sol.n_unknowns == 2
+
+
+def test_column_solved_twice_is_a_problem():
+    system = assemble_system(plane_blowup_fan(), e_index=2)
+    system.multipliers = system.multipliers * 2
+    sol = solve_system(system)
+    assert not sol.consistent
+    assert sol.problems == ("column D2^2 is solved by 2 blocks",)
+    assert sol.free_columns == ()
+
+
+def test_extra_column_fails_uniqueness_check(star, stabilizer):
+    eng = IntersectionEngine(star.fan, star.e_index)
+    index = eng.system.unknown_index
+    index[(6, 2, 2) + (0,) * 10] = len(index)
+    assert eng.solution.free_columns == (N_UNKNOWNS,)
+    assert eng.solution.rank == N_UNKNOWNS
+    report = run_all(star=star, stabilizer=stabilizer, engine=eng)
+    check = next(c for c in report.checks if c.name == "exceptional_top_power")
+    assert not check.passed
+    assert check.actual == f"{E_TOP} (consistent, underdetermined)"
 
 
 def test_assemble_system_validates_relations():
@@ -288,3 +357,14 @@ def test_evaluate_validation():
         eng.evaluate((0, 1, 1))
     with pytest.raises(IndexError):
         IntersectionEngine(fan, 5)
+
+
+def test_evaluate_rejects_non_integer_exponents(engine):
+    assert engine.evaluate((9, 1) + (0,) * 11) == 560
+    # Truncating these would silently give the value of E^9*D1.
+    with pytest.raises(TypeError):
+        engine.evaluate((9.5, 1.7) + (0,) * 11)
+    with pytest.raises(TypeError):
+        engine.evaluate(("9", 1) + (0,) * 11)
+    with pytest.raises(TypeError):
+        engine.evaluate((Fraction(9), 1) + (0,) * 11)
