@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .cones import Cone, Facet, Fan, cone_dim, enumerate_facets
@@ -310,54 +311,77 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     group on the rays.
 
     Candidates send each basis vector to a minimal vector (basis vectors
-    have norm 2) subject to the Gram conditions, pruned column by
-    column. Every element is checked to fix the barycenter and permute
-    the top cones; a failure of either check is a hard error because it
-    would mean the fan does not actually carry the symmetry.
+    have norm 2) subject to the Gram conditions. The form's inner
+    products between minimal vectors are tabulated once, so the
+    candidates for each column are the intersection of the neighbour
+    sets of the columns already chosen; columns are tried in sorted
+    order. Every element is checked to be unimodular, to permute the
+    rays, to fix the barycenter and to permute the top cones; a failure
+    of any check is a hard error because it would mean the fan does not
+    actually carry the symmetry.
     """
     q = star.gram
     vecs = sorted(set(star.ray_vectors) | {tuple(-x for x in v) for v in star.ray_vectors})
-    qv = {
-        v: tuple(sum(q[i][j] * v[j] for j in range(4)) for i in range(4))
-        for v in vecs
-    }
+    qv = [tuple(sum(q[i][j] * v[j] for j in range(4)) for i in range(4)) for v in vecs]
+    # nbr[a][x]: the indices b with <vecs[a], vecs[b]> = x.
+    nbr: list[dict[int, frozenset[int]]] = []
+    for qa in qv:
+        groups: dict[int, set[int]] = {}
+        for b, w in enumerate(vecs):
+            groups.setdefault(sum(map(mul, qa, w)), set()).add(b)
+        nbr.append({x: frozenset(bs) for x, bs in groups.items()})
+    none: frozenset[int] = frozenset()
 
-    def ip(v: tuple[int, ...], w: tuple[int, ...]) -> int:
-        return sum(a * b for a, b in zip(qv[v], w))
-
+    n_rays = len(star.ray_vectors)
     rep_index = {v: i for i, v in enumerate(star.ray_vectors)}
-    facet_sets = frozenset(f.incident for f in star.facets)
+    ray_of = {v: rep_index[_canon(v)] for v in vecs}
+    eta = star.eta.rows
+    # A permutation of the rays maps a facet onto a facet exactly when it
+    # maps the rays the facet leaves out onto the rays another facet
+    # leaves out; those complements are 3 rays against the facet's 9.
+    complements = [
+        tuple(i for i in range(n_rays) if i not in f.incident) for f in star.facets
+    ]
+    complement_masks = frozenset(sum(1 << i for i in comp) for comp in complements)
     elements: list[LatticeAutomorphism] = []
-    for v1 in vecs:
-        for v2 in vecs:
-            if ip(v1, v2) != q[0][1]:
-                continue
-            for v3 in vecs:
-                if ip(v1, v3) != q[0][2] or ip(v2, v3) != q[1][2]:
-                    continue
-                for v4 in vecs:
-                    if (
-                        ip(v1, v4) != q[0][3]
-                        or ip(v2, v4) != q[1][3]
-                        or ip(v3, v4) != q[2][3]
-                    ):
-                        continue
-                    cols = (v1, v2, v3, v4)
-                    mat = tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+    for a1 in range(len(vecs)):
+        for a2 in sorted(nbr[a1].get(q[0][1], none)):
+            for a3 in sorted(nbr[a1].get(q[0][2], none) & nbr[a2].get(q[1][2], none)):
+                for a4 in sorted(
+                    nbr[a1].get(q[0][3], none)
+                    & nbr[a2].get(q[1][3], none)
+                    & nbr[a3].get(q[2][3], none)
+                ):
+                    cols = (vecs[a1], vecs[a2], vecs[a3], vecs[a4])
+                    mat = tuple(zip(*cols))
                     if abs(int_det(mat)) != 1:
                         raise StabilizerError(f"form-preserving matrix {mat} is not unimodular")
                     perm = []
                     for v in star.ray_vectors:
-                        image = _canon(tuple(sum(mat[i][j] * v[j] for j in range(4)) for i in range(4)))
-                        if image not in rep_index:
+                        image = tuple(sum(map(mul, row, v)) for row in mat)
+                        if image not in ray_of:
                             raise StabilizerError(
                                 f"matrix {mat} maps ray vector {v} outside the ray set"
                             )
-                        perm.append(rep_index[image])
-                    if star.eta.transform(mat) != star.eta:
+                        perm.append(ray_of[image])
+                    if len(set(perm)) != n_rays:
+                        raise StabilizerError(
+                            f"matrix {mat} maps two rays to one; its ray map is not a bijection"
+                        )
+                    # g eta g^T, reading eta's rows as its columns (it is symmetric).
+                    g_eta = [[sum(map(mul, row, col)) for col in eta] for row in mat]
+                    if any(
+                        sum(map(mul, g_eta[i], mat[j])) != eta[i][j]
+                        for i in range(4)
+                        for j in range(i, 4)
+                    ):
                         raise StabilizerError(f"matrix {mat} moves the barycenter")
-                    for inc in facet_sets:
-                        if frozenset(perm[i] for i in inc) not in facet_sets:
+                    bits = [1 << p for p in perm]
+                    for comp in complements:
+                        image_mask = 0
+                        for i in comp:
+                            image_mask |= bits[i]
+                        if image_mask not in complement_masks:
                             raise StabilizerError(
                                 f"matrix {mat} does not permute the top cones"
                             )

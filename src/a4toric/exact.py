@@ -58,7 +58,9 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix.
 
     Fraction-free Bareiss elimination: every intermediate quotient is an
-    exact integer division, so the result is exact for any size.
+    exact integer division, so the result is exact for any size. Entries
+    must be integers; anything else raises TypeError rather than being
+    truncated.
     """
     n = len(rows)
     for r in rows:
@@ -66,7 +68,7 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
             raise DimensionError("int_det requires a square matrix")
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in rows]
+    a = [[index(x) for x in row] for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -156,16 +156,16 @@ def _facets_by_subset_scan(cone: Cone):
     if d <= 1:
         return frozenset()
     basis = [red[i] for i in range(d)]
+    # Each generator's pairings with the basis, computed once for all
+    # the subsets it belongs to.
+    projected = [
+        [sum(Fraction(g[k]) * b[k] for k in range(cone.ambient)) for b in basis]
+        for g in gens
+    ]
     results = set()
     for size in range(1, len(gens)):
         for subset in combinations(range(len(gens)), size):
-            constraint = [
-                [
-                    sum(Fraction(gens[i][k]) * b[k] for k in range(cone.ambient))
-                    for b in basis
-                ]
-                for i in subset
-            ]
+            constraint = [projected[i] for i in subset]
             coeffs = _rref_kernel_line(constraint, d)
             if coeffs is None:
                 continue
@@ -187,6 +187,36 @@ def _facets_by_subset_scan(cone: Cone):
             if incident == frozenset(subset):
                 results.add((normal, incident))
     return frozenset(results)
+
+
+def _permutes_facets(
+    n_rays: int, facets: Sequence[frozenset[int]], stabilizer: Stabilizer
+) -> bool:
+    """Whether every element's ray permutation is a bijection of the rays
+    that maps the facets onto themselves.
+
+    A bijection maps a facet onto a facet exactly when it maps the rays
+    that facet leaves out onto the rays another facet leaves out, so the
+    test runs on bitmasks of those complements, whatever their sizes.
+    A facet naming a ray outside the fan fails the test.
+    """
+    every = frozenset(range(n_rays))
+    if any(not inc <= every for inc in facets):
+        return False
+    complements = [tuple(every - inc) for inc in facets]
+    masks = frozenset(sum(1 << i for i in comp) for comp in complements)
+    for el in stabilizer.elements:
+        perm = el.ray_permutation
+        if sorted(perm) != list(range(n_rays)):
+            return False
+        bits = [1 << p for p in perm]
+        for comp in complements:
+            image = 0
+            for i in comp:
+                image |= bits[i]
+            if image not in masks:
+                return False
+    return True
 
 
 def _oracle_cones() -> list[Cone]:
@@ -298,11 +328,8 @@ def run_all(
     )
 
     # 5. Stabilizer order and cone permutation.
-    facet_sets = frozenset(f.incident for f in star.facets)
-    permutes = all(
-        frozenset(el.ray_permutation[i] for i in inc) in facet_sets
-        for el in stabilizer.elements
-        for inc in facet_sets
+    permutes = _permutes_facets(
+        len(star.gammas), [f.incident for f in star.facets], stabilizer
     )
     checks.append(
         _check(
@@ -330,20 +357,30 @@ def run_all(
 
     # 7. Cross-agreement of the two engines, and every row identity. The
     # rows are rebuilt from the raw relations rather than the shared cone
-    # atlas. Every monomial comes from the system itself, so the sweep
-    # skips the argument checks of the public evaluate.
+    # atlas. All rows of one multiplier share its monomials, one per ray
+    # some relation uses, so each of those is evaluated once per
+    # multiplier and every relation sums its own nonzero terms over them.
+    # Every monomial comes from the system itself, so the sweep skips the
+    # argument checks of the public evaluate.
     evaluate = engine._eval
     mismatches = 0
     for mono, value in sol.values.items():
         if evaluate(mono) != value:
             mismatches += 1
+    system = engine.system
+    relation_terms = [
+        [(r, coeff) for r, coeff in enumerate(rel.coefficients) if coeff]
+        for rel in system.relations
+    ]
+    used_rays = sorted({r for terms in relation_terms for r, _ in terms})
     bad_rows = 0
-    for row in engine.system.iter_rows():
-        total = 0
-        for mono, coeff in row.products:
-            total += coeff * evaluate(mono)
-        if total != 0:
-            bad_rows += 1
+    for mult in system.multipliers:
+        bumped = {
+            r: evaluate(mult[:r] + (mult[r] + 1,) + mult[r + 1 :]) for r in used_rays
+        }
+        for terms in relation_terms:
+            if sum(coeff * bumped[r] for r, coeff in terms) != 0:
+                bad_rows += 1
     checks.append(
         _check(
             "engine_agreement",

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from a4toric import cli
 from a4toric.cli import main
 from a4toric.intersection import IntersectionEngine
 from a4toric.tables import FaberData
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 
 
 def run_cli(capsys, argv):
@@ -235,6 +238,19 @@ def test_corrupted_shared_inverse_fails_verify(capsys, monkeypatch, star, stabil
     out = capsys.readouterr().out
     assert code == 1
     assert any(l.startswith("[FAIL] engine_agreement") for l in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    ("argv", "golden"),
+    [
+        (["verify", "--json", "--reproducible"], "verify.json"),
+        (["fan", "report", "--format", "json", "--reproducible"], "fan_report.json"),
+    ],
+)
+def test_reproducible_output_matches_golden_file(capsys, argv, golden):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 def test_timestamp_presence(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from a4toric.d4fan import (
     COORD_PAIRS,
     D4_BASIS,
     FanConstructionError,
+    StabilizerError,
     SymMatrix,
     _canon,
     build_d4_form,
@@ -220,3 +223,74 @@ def test_canon():
     assert _canon((1, -1, 0, 0)) == (1, -1, 0, 0)
     with pytest.raises(ValueError):
         _canon((0, 0, 0, 0))
+
+
+def _scan_form_automorphisms(star):
+    """The stabilizer search as a plain four-deep scan: every column runs
+    over all minimal vectors, filtered by the Gram conditions."""
+    q = star.gram
+    vecs = sorted(set(star.ray_vectors) | {tuple(-x for x in v) for v in star.ray_vectors})
+
+    def ip(v, w):
+        return sum(v[i] * q[i][j] * w[j] for i in range(4) for j in range(4))
+
+    rep_index = {v: i for i, v in enumerate(star.ray_vectors)}
+    found = []
+    for v1 in vecs:
+        for v2 in vecs:
+            if ip(v1, v2) != q[0][1]:
+                continue
+            for v3 in vecs:
+                if ip(v1, v3) != q[0][2] or ip(v2, v3) != q[1][2]:
+                    continue
+                for v4 in vecs:
+                    if ip(v1, v4) != q[0][3] or ip(v2, v4) != q[1][3] or ip(v3, v4) != q[2][3]:
+                        continue
+                    cols = (v1, v2, v3, v4)
+                    mat = tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+                    perm = tuple(
+                        rep_index[_canon(tuple(sum(mat[i][j] * v[j] for j in range(4)) for i in range(4)))]
+                        for v in star.ray_vectors
+                    )
+                    found.append((mat, perm))
+    return found
+
+
+def test_stabilizer_matches_four_deep_scan(star, stabilizer):
+    expected = _scan_form_automorphisms(star)
+    assert [(e.matrix, e.ray_permutation) for e in stabilizer.elements] == expected
+
+
+def test_stabilizer_matches_four_deep_scan_in_another_basis():
+    u = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, -1))
+    moved = build_star_fan(change_of_basis=u)
+    got = compute_stabilizer(moved)
+    assert [(e.matrix, e.ray_permutation) for e in got.elements] == _scan_form_automorphisms(moved)
+
+
+def test_stabilizer_rejects_moved_barycenter(star):
+    bad = dataclasses.replace(star, eta=SymMatrix.from_vector((1, 0, 0, 0)))
+    with pytest.raises(StabilizerError, match="moves the barycenter"):
+        compute_stabilizer(bad)
+
+
+def test_stabilizer_rejects_facet_set_it_does_not_permute(star):
+    facet_sets = {f.incident for f in star.facets}
+    stray = next(
+        frozenset(c)
+        for c in itertools.combinations(range(12), 9)
+        if frozenset(c) not in facet_sets
+    )
+    facets = (dataclasses.replace(star.facets[0], incident=stray),) + star.facets[1:]
+    bad = dataclasses.replace(star, facets=facets)
+    with pytest.raises(StabilizerError, match="does not permute the top cones"):
+        compute_stabilizer(bad)
+
+
+def test_stabilizer_rejects_ray_map_that_is_not_a_bijection(star):
+    # Listing ray 0 twice (in place of ray 5) lets a form automorphism
+    # send two listed rays to the same ray.
+    rv = star.ray_vectors
+    bad = dataclasses.replace(star, ray_vectors=rv[:5] + (rv[0],) + rv[6:])
+    with pytest.raises(StabilizerError, match="not a bijection"):
+        compute_stabilizer(bad)

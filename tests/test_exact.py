@@ -85,6 +85,15 @@ def test_int_det_examples():
         int_det([[1, 2], [3, 4], [5, 6]])
 
 
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 1.5, "2"])
+def test_int_det_rejects_non_integer_entries(entry):
+    # Truncating would turn det [[3/2]] into 1 and det diag(1/2, 2) into 0.
+    with pytest.raises(TypeError):
+        int_det([[entry]])
+    with pytest.raises(TypeError):
+        int_det([[entry, 0], [0, 2]])
+
+
 @given(st.integers(1, 4).flatmap(small_int_matrix))
 def test_int_det_matches_cofactor_expansion(mat):
     assert int_det(mat) == cofactor_det(mat)
