@@ -18,15 +18,13 @@ The `verify` module re-derives and cross-checks all of it; the
 `a4toric` command line exposes reports, tables, and the checks.
 """
 
-from .cones import Cone, Facet, Fan, cone_dim, enumerate_facets, is_basic, spans_cone
+from .cones import Cone, Facet, Fan, cone_dim, enumerate_facets
 from .d4fan import (
     LatticeAutomorphism,
     Stabilizer,
     StarFan,
     SymMatrix,
     build_d4_form,
-    build_eta,
-    build_rays,
     build_star_fan,
     compute_stabilizer,
     minimal_vectors,
@@ -37,10 +35,8 @@ from .intersection import (
     SystemSolution,
     assemble_system,
     build_relations,
-    evaluate_recursive,
     format_monomial,
     parse_monomial,
-    solve_e10,
     solve_system,
     squarefree_value,
 )
@@ -64,15 +60,11 @@ __all__ = [
     "Fan",
     "cone_dim",
     "enumerate_facets",
-    "is_basic",
-    "spans_cone",
     "LatticeAutomorphism",
     "Stabilizer",
     "StarFan",
     "SymMatrix",
     "build_d4_form",
-    "build_eta",
-    "build_rays",
     "build_star_fan",
     "compute_stabilizer",
     "minimal_vectors",
@@ -81,10 +73,8 @@ __all__ = [
     "SystemSolution",
     "assemble_system",
     "build_relations",
-    "evaluate_recursive",
     "format_monomial",
     "parse_monomial",
-    "solve_e10",
     "solve_system",
     "squarefree_value",
     "ProportionalityResult",

@@ -10,6 +10,7 @@ and denominator pairs, never as floats. Exit status: 0 on success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -26,13 +27,7 @@ from .intersection import (
     parse_monomial,
 )
 from .proportionality import l_top
-from .tables import (
-    TOP_DEGREE,
-    FaberData,
-    geometric_basis,
-    igusa_table,
-    voronoi_table,
-)
+from .tables import TOP_DEGREE, FaberData, geometric_basis, igusa_table, voronoi_table
 from .verify import run_all
 
 __all__ = ["main", "console_entry"]
@@ -50,81 +45,79 @@ def _context() -> tuple[StarFan, Stabilizer, IntersectionEngine]:
     return star, stabilizer, engine
 
 
-def _rat(x) -> dict[str, str]:
-    f = Fraction(x)
-    return {"numerator": str(f.numerator), "denominator": str(f.denominator)}
+def _rational(x: object) -> dict[str, str]:
+    """The JSON form of an exact rational, for `json.dumps(default=...)`."""
+    if isinstance(x, Fraction):
+        return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _document(command: str, inputs: dict, results: dict, reproducible: bool) -> dict:
-    doc: dict = {"command": command, "inputs": inputs, "results": results}
-    if not reproducible:
-        doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return doc
-
-
-def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
+def _emit(
+    args: argparse.Namespace, command: str, inputs: dict, results: dict, lines: list[str]
+) -> None:
+    """Print one command's results: as JSON, or as the text lines that the
+    command formatted from the same results."""
+    if args.format == "json":
+        doc: dict = {"command": command, "inputs": inputs, "results": results}
+        if not args.reproducible:
+            doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        print(json.dumps(doc, indent=2, default=_rational))
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(lines))
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 def _cmd_fan_report(args: argparse.Namespace) -> int:
     star, stabilizer, _ = _context()
-    rays = [
-        {
-            "index": i + 1,
-            "vector": list(v),
-            "coordinates": list(g.coords),
-        }
-        for i, (v, g) in enumerate(zip(star.ray_vectors, star.gammas))
-    ]
-    facets = [
-        {"index": fi + 1, "rays": [i + 1 for i in sorted(f.incident)]}
-        for fi, f in enumerate(star.facets)
-    ]
     dets = [
         int_det([star.fan.rays[i] for i in sorted(c)]) for c in star.fan.top_cones
     ]
-    cones = [
-        {"index": fi + 1, "facet": fi + 1, "determinant": d}
-        for fi, d in enumerate(dets)
-    ]
-    all_basic = all(abs(d) == 1 for d in dets)
     results = {
-        "ray_count": len(rays),
-        "rays": rays,
+        "ray_count": len(star.gammas),
+        "rays": [
+            {"index": i + 1, "vector": list(v), "coordinates": list(g.coords)}
+            for i, (v, g) in enumerate(zip(star.ray_vectors, star.gammas))
+        ],
         "exceptional_ray": {
             "coordinates": list(star.eta.coords),
             "content": star.eta_content,
         },
-        "facet_count": len(facets),
-        "facets": facets,
-        "cone_count": len(cones),
-        "cones": cones,
-        "all_cones_basic": all_basic,
+        "facet_count": len(star.facets),
+        "facets": [
+            {"index": fi + 1, "rays": [i + 1 for i in sorted(f.incident)]}
+            for fi, f in enumerate(star.facets)
+        ],
+        "cone_count": len(dets),
+        "cones": [
+            {"index": fi + 1, "facet": fi + 1, "determinant": d}
+            for fi, d in enumerate(dets)
+        ],
+        "all_cones_basic": all(abs(d) == 1 for d in dets),
         "stabilizer_order": stabilizer.order,
     }
-    doc = _document("fan report", {}, results, args.reproducible)
-    lines = ["fan report", f"ray count: {len(rays)}"]
-    for r in rays:
+    eta = results["exceptional_ray"]
+    lines = ["fan report", f"ray count: {results['ray_count']}"]
+    for r in results["rays"]:
         lines.append(
             f"  ray {r['index']:2d}: vector {tuple(r['vector'])}; "
             f"coordinates {tuple(r['coordinates'])}"
         )
     lines.append(
-        f"exceptional ray: coordinates {tuple(star.eta.coords)}; "
-        f"content {star.eta_content}"
+        f"exceptional ray: coordinates {tuple(eta['coordinates'])}; "
+        f"content {eta['content']}"
     )
-    lines.append(f"facet count: {len(facets)}")
-    for f in facets:
-        lines.append(f"  facet {f['index']:2d}: rays " + " ".join(str(i) for i in f["rays"]))
+    lines.append(f"facet count: {results['facet_count']}")
+    for f in results["facets"]:
+        lines.append(f"  facet {f['index']:2d}: rays " + " ".join(map(str, f["rays"])))
     lines.append(
-        f"cone count: {len(cones)}; all basic (|det| = 1): {'yes' if all_basic else 'no'}"
+        f"cone count: {results['cone_count']}; all basic (|det| = 1): "
+        f"{_yes(results['all_cones_basic'])}"
     )
-    lines.append(f"stabilizer order: {stabilizer.order}")
-    _emit(doc, lines, args.format)
+    lines.append(f"stabilizer order: {results['stabilizer_order']}")
+    _emit(args, "fan report", {}, results, lines)
     return 0
 
 
@@ -137,10 +130,8 @@ def _cmd_intersection(args: argparse.Namespace) -> int:
         raise _UsageError("expected exactly one monomial expression")
     raw = tokens[0]
     n_rays = len(star.fan.rays)
-    if raw == "e10":
-        mono = tuple(TOP_DEGREE if i == 0 else 0 for i in range(n_rays))
-    else:
-        mono = parse_monomial(raw, n_rays)
+    e_top_mono = (TOP_DEGREE,) + (0,) * (n_rays - 1)
+    mono = e_top_mono if raw == "e10" else parse_monomial(raw, n_rays)
     if sum(mono) != TOP_DEGREE:
         raise _UsageError(
             f"monomial {format_monomial(mono)} has degree {sum(mono)}; "
@@ -151,43 +142,30 @@ def _cmd_intersection(args: argparse.Namespace) -> int:
             "the monomial must contain the exceptional factor E: values "
             "without it do not localize to this star fan"
         )
-    recursive = engine.evaluate(mono)
+    recursive = Fraction(engine.evaluate(mono))
     system = engine.system_value(mono)
-    agree = None if system is None else system == recursive
     results: dict = {
         "expression": format_monomial(mono),
-        "system_value": None if system is None else _rat(system),
-        "recursive_value": _rat(recursive),
-        "agree": agree,
+        "system_value": None if system is None else Fraction(system),
+        "recursive_value": recursive,
+        "agree": None if system is None else system == recursive,
     }
-    is_e_top = mono == tuple(TOP_DEGREE if i == 0 else 0 for i in range(n_rays))
-    if is_e_top:
+    if mono == e_top_mono:
         results["stabilizer_order"] = stabilizer.order
-        results["moduli_value"] = _rat(Fraction(recursive, stabilizer.order))
-    doc = _document("intersection", {"expression": raw}, results, args.reproducible)
-    lines = [f"intersection {format_monomial(mono)}"]
-    lines.append(
+        results["moduli_value"] = recursive / stabilizer.order
+    agree = results["agree"]
+    lines = [
+        f"intersection {results['expression']}",
         "system value:    "
-        + ("not a system column" if system is None else str(Fraction(system)))
-    )
-    lines.append(f"recursive value: {Fraction(recursive)}")
-    lines.append(
-        "agreement:       " + ("n/a" if agree is None else ("yes" if agree else "no"))
-    )
-    if is_e_top:
-        lines.append(f"stabilizer order: {stabilizer.order}")
-        lines.append(f"moduli value:    {Fraction(recursive, stabilizer.order)}")
-    _emit(doc, lines, args.format)
-    if agree is False:
-        return 1
-    return 0
-
-
-def _table_context() -> tuple:
-    lt = l_top(4)
-    faber = FaberData.default()
-    igusa = igusa_table(lt.value, faber)
-    return lt, faber, igusa
+        + ("not a system column" if system is None else str(results["system_value"])),
+        f"recursive value: {recursive}",
+        "agreement:       " + ("n/a" if agree is None else _yes(agree)),
+    ]
+    if "moduli_value" in results:
+        lines.append(f"stabilizer order: {results['stabilizer_order']}")
+        lines.append(f"moduli value:    {results['moduli_value']}")
+    _emit(args, "intersection", {"expression": raw}, results, lines)
+    return 1 if agree is False else 0
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -199,94 +177,67 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         raise _UsageError("--genus only applies to the ltop table")
     if args.which == "ltop":
         lt = l_top(args.genus)
-        selected = lt.stack_value if args.stack else lt.value
         results = {
             "genus": lt.genus,
             "top_power": lt.top_power,
-            "variety_value": _rat(lt.value),
-            "stack_value": _rat(lt.stack_value),
+            "variety_value": lt.value,
+            "stack_value": lt.stack_value,
             "selected": "stack" if args.stack else "variety",
-            "value": _rat(selected),
+            "value": lt.stack_value if args.stack else lt.value,
         }
-        doc = _document(
-            "tables ltop",
-            {"genus": args.genus, "stack": bool(args.stack)},
-            results,
-            args.reproducible,
-        )
         lines = [
             "top power of the weight-one class",
-            f"genus: {lt.genus}",
-            f"top power: {lt.top_power}",
-            f"variety value: {lt.value}",
-            f"stack value:   {lt.stack_value}",
-            f"selected: {results['selected']} ({selected})",
+            f"genus: {results['genus']}",
+            f"top power: {results['top_power']}",
+            f"variety value: {results['variety_value']}",
+            f"stack value:   {results['stack_value']}",
+            f"selected: {results['selected']} ({results['value']})",
         ]
-        _emit(doc, lines, args.format)
+        inputs = {"genus": args.genus, "stack": bool(args.stack)}
+        _emit(args, "tables ltop", inputs, results, lines)
         return 0
-    lt, faber, igusa = _table_context()
+    igusa = igusa_table(l_top(4).value, FaberData.default())
     if args.which == "igusa":
-        values = [
-            {"k": k, "value": _rat(igusa.a(k))} for k in range(TOP_DEGREE, -1, -1)
-        ]
-        doc = _document("tables igusa", {}, {"values": values}, args.reproducible)
+        results = {
+            "values": [{"k": k, "value": igusa.a(k)} for k in range(TOP_DEGREE, -1, -1)]
+        }
         lines = ["table igusa: <L^k D^(10-k)> for k = 10 .. 0"]
-        for entry in values:
-            lines.append(f"  k = {entry['k']:2d}: {igusa.a(entry['k'])}")
-        _emit(doc, lines, args.format)
+        for entry in results["values"]:
+            lines.append(f"  k = {entry['k']:2d}: {entry['value']}")
+        _emit(args, "tables igusa", {}, results, lines)
         return 0
-    # voronoi
     _, stabilizer, engine = _context()
     vor = voronoi_table(igusa, engine.e_top, stabilizer.order)
-    if args.basis == "lfe":
-        entries = []
-        for k in range(TOP_DEGREE, -1, -1):
-            for l in range(0, TOP_DEGREE + 1 - k):
-                entries.append({"k": k, "l": l, "value": _rat(vor.a(k, l))})
-        results = {
-            "basis": "lfe",
-            "e_top_toric": _rat(engine.e_top),
-            "stabilizer_order": stabilizer.order,
-            "entries": entries,
-        }
-        doc = _document("tables voronoi", {"basis": "lfe"}, results, args.reproducible)
-        lines = ["table voronoi: <L^k F^(10-k-l) E^l> for k + l <= 10"]
-        lines.append(
-            f"corner entry: {engine.e_top}/{stabilizer.order} = "
-            f"{Fraction(engine.e_top, stabilizer.order)}"
-        )
-        for entry in entries:
-            val = vor.a(entry["k"], entry["l"])
-            if val != 0:
-                lines.append(f"  k = {entry['k']:2d}, l = {entry['l']:2d}: {val}")
-        lines.append("  all remaining entries: 0")
-        _emit(doc, lines, args.format)
-        return 0
+    geometric = args.basis == "geometric"
     entries = []
     for k in range(TOP_DEGREE, -1, -1):
         for l in range(0, TOP_DEGREE + 1 - k):
-            m = TOP_DEGREE - k - l
-            entries.append(
-                {"k": k, "m": m, "l": l, "value": _rat(geometric_basis(vor, k, m, l))}
-            )
+            if geometric:
+                m = TOP_DEGREE - k - l
+                entries.append({"k": k, "m": m, "l": l, "value": geometric_basis(vor, k, m, l)})
+            else:
+                entries.append({"k": k, "l": l, "value": vor.a(k, l)})
     results = {
-        "basis": "geometric",
-        "e_top_toric": _rat(engine.e_top),
+        "basis": args.basis,
+        "e_top_toric": engine.e_top,
         "stabilizer_order": stabilizer.order,
         "entries": entries,
     }
-    doc = _document(
-        "tables voronoi", {"basis": "geometric"}, results, args.reproducible
-    )
-    lines = ["table voronoi (geometric basis): <L^k D^m E^l> with D = F - 4E"]
+    if geometric:
+        lines = ["table voronoi (geometric basis): <L^k D^m E^l> with D = F - 4E"]
+    else:
+        e_top, order = results["e_top_toric"], results["stabilizer_order"]
+        lines = [
+            "table voronoi: <L^k F^(10-k-l) E^l> for k + l <= 10",
+            f"corner entry: {e_top}/{order} = {e_top / order}",
+        ]
+    # Each entry lists its exponents in output order: k, l or k, m, l.
     for entry in entries:
-        val = Fraction(int(entry["value"]["numerator"]), int(entry["value"]["denominator"]))
-        if val != 0:
-            lines.append(
-                f"  k = {entry['k']:2d}, m = {entry['m']:2d}, l = {entry['l']:2d}: {val}"
-            )
+        if entry["value"] != 0:
+            exponents = ", ".join(f"{key} = {entry[key]:2d}" for key in entry if key != "value")
+            lines.append(f"  {exponents}: {entry['value']}")
     lines.append("  all remaining entries: 0")
-    _emit(doc, lines, args.format)
+    _emit(args, "tables voronoi", {"basis": args.basis}, results, lines)
     return 0
 
 
@@ -295,33 +246,26 @@ def _cmd_verify(args: argparse.Namespace, faber_override: FaberData | None) -> i
     report = run_all(
         faber=faber_override, star=star, stabilizer=stabilizer, engine=engine
     )
-    fmt = "json" if args.json else args.format
-    checks = [
-        {
-            "name": c.name,
-            "description": c.description,
-            "expected": c.expected,
-            "actual": c.actual,
-            "passed": c.passed,
-        }
-        for c in report.checks
-    ]
+    checks = [dataclasses.asdict(c) for c in report.checks]
+    passed = sum(c["passed"] for c in checks)
     results = {
         "checks": checks,
-        "passed_count": sum(c.passed for c in report.checks),
-        "failed_count": sum(not c.passed for c in report.checks),
+        "passed_count": passed,
+        "failed_count": len(checks) - passed,
         "all_passed": report.all_passed,
     }
-    doc = _document("verify", {}, results, args.reproducible)
-    lines = []
-    for c in report.checks:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(f"[{status}] {c.name}: expected {c.expected}; got {c.actual}")
+    lines = [
+        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
+        f"expected {c['expected']}; got {c['actual']}"
+        for c in checks
+    ]
     lines.append(
-        f"{len(report.checks)} checks: {results['passed_count']} passed, "
+        f"{len(checks)} checks: {results['passed_count']} passed, "
         f"{results['failed_count']} failed"
     )
-    _emit(doc, lines, fmt)
+    if args.json:
+        args.format = "json"
+    _emit(args, "verify", {}, results, lines)
     return 0 if report.all_passed else 1
 
 

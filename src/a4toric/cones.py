@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Sequence
+from operator import index
+from typing import Sequence
 
 from .exact import (
     DimensionError,
@@ -32,8 +33,6 @@ __all__ = [
     "DegenerateConeError",
     "cone_dim",
     "enumerate_facets",
-    "spans_cone",
-    "is_basic",
 ]
 
 
@@ -54,7 +53,7 @@ class Cone:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(tuple(int(x) for x in g) for g in self.generators)
+        gens = tuple(tuple(map(index, g)) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         if self.ambient <= 0:
             raise ValueError("ambient dimension must be positive")
@@ -152,39 +151,6 @@ def enumerate_facets(cone: Cone) -> list[Facet]:
     return [Facet(normal, found[normal]) for normal in sorted(found)]
 
 
-def spans_cone(
-    top_cones: Sequence[Iterable[int]],
-    ray_indices: Iterable[int],
-    ray_count: int,
-) -> bool:
-    """Whether a set of ray indices is contained in some top-dimensional cone."""
-    wanted = frozenset(ray_indices)
-    for i in wanted:
-        if not 0 <= i < ray_count:
-            raise IndexError(f"unknown ray index {i}")
-    return any(wanted <= frozenset(c) for c in top_cones)
-
-
-def is_basic(cone: Cone, lattice_dim: int | None = None) -> bool:
-    """Whether a simplicial cone's generators extend to a lattice basis.
-
-    For a full-dimensional cone this is |det| = 1; for lower-dimensional
-    cones the gcd of all maximal minors must be 1.
-    """
-    if lattice_dim is not None and lattice_dim != cone.ambient:
-        raise DimensionError("lattice dimension does not match ambient dimension")
-    d = cone_dim(cone)
-    if len(cone.generators) != d:
-        raise ValueError("basicness is only defined for simplicial cones")
-    if d == cone.ambient:
-        return abs(int_det(cone.generators)) == 1
-    minors = [
-        int_det([[g[c] for c in cols] for g in cone.generators])
-        for cols in combinations(range(cone.ambient), d)
-    ]
-    return gcd_content(minors) == 1
-
-
 @dataclass(frozen=True)
 class Fan:
     """A simplicial fan given by its rays and top-dimensional cones.
@@ -197,7 +163,7 @@ class Fan:
     top_cones: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
+        rays = tuple(tuple(map(index, r)) for r in self.rays)
         tops = tuple(frozenset(c) for c in self.top_cones)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "top_cones", tops)
@@ -225,5 +191,3 @@ class Fan:
     def ambient(self) -> int:
         return len(self.rays[0])
 
-    def spans(self, ray_indices: Iterable[int]) -> bool:
-        return spans_cone(self.top_cones, ray_indices, len(self.rays))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .cones import Cone, Facet, Fan, cone_dim, enumerate_facets
@@ -36,8 +36,6 @@ __all__ = [
     "Stabilizer",
     "build_d4_form",
     "minimal_vectors",
-    "build_rays",
-    "build_eta",
     "build_star_fan",
     "compute_stabilizer",
 ]
@@ -58,6 +56,8 @@ COORD_PAIRS: tuple[tuple[int, int], ...] = (
 )
 
 _MIN_NORM = 2
+# Coordinate bound of the minimal-vector search; the shipped basis needs 2.
+_BOX = 3
 _EXPECTED_MIN_VECTORS = 24
 _EXPECTED_RAYS = 12
 _EXPECTED_FACETS = 64
@@ -98,7 +98,7 @@ class SymMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("expected a 4x4 matrix")
@@ -126,34 +126,41 @@ class SymMatrix:
     def coords(self) -> tuple[int, ...]:
         return tuple(self.rows[i][j] for i, j in COORD_PAIRS)
 
-    def transform(self, g: Sequence[Sequence[int]]) -> "SymMatrix":
-        """Congruence action g S g^T of a lattice automorphism."""
-        return SymMatrix(_matmul(g, _matmul(self.rows, _transpose(g))))
+
+def _form_in_basis(
+    change_of_basis: Sequence[Sequence[int]] | None,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...] | None]:
+    """The Gram matrix Q = B^T B of the D4 basis, or U^T Q U for a change
+    of basis U, together with U checked to be a unimodular 4x4 integer
+    matrix (None when no change is asked for)."""
+    q = _matmul(_transpose(D4_BASIS), D4_BASIS)
+    if change_of_basis is None:
+        return q, None
+    u = tuple(tuple(map(index, row)) for row in change_of_basis)
+    if len(u) != 4 or any(len(row) != 4 for row in u):
+        raise ValueError("change of basis must be a 4x4 matrix")
+    if abs(int_det(u)) != 1:
+        raise ValueError("change of basis must be unimodular")
+    return _matmul(_transpose(u), _matmul(q, u)), u
 
 
 def build_d4_form(change_of_basis: Sequence[Sequence[int]] | None = None) -> tuple[tuple[int, ...], ...]:
     """Gram matrix B^T B of the D4 basis, optionally conjugated by a
     unimodular change of basis U (giving U^T Q U)."""
-    q = _matmul(_transpose(D4_BASIS), D4_BASIS)
-    if change_of_basis is not None:
-        u = tuple(tuple(int(x) for x in row) for row in change_of_basis)
-        if abs(int_det(u)) != 1:
-            raise ValueError("change of basis must be unimodular")
-        q = _matmul(_transpose(u), _matmul(q, u))
-    return q
+    return _form_in_basis(change_of_basis)[0]
 
 
-def minimal_vectors(gram: Sequence[Sequence[int]] | None = None, bound: int = 3) -> tuple[tuple[int, ...], ...]:
+def minimal_vectors(gram: Sequence[Sequence[int]] | None = None) -> tuple[tuple[int, ...], ...]:
     """The 24 integer vectors of norm 2 for the given Gram matrix.
 
-    Enumerates the coordinate box |c_i| <= bound, which suffices for the
+    Enumerates the coordinate box |c_i| <= 3, which suffices for the
     shipped realization; the count is validated so a Gram matrix whose
     minimal vectors escape the box is rejected rather than silently
     truncated.
     """
-    q = build_d4_form() if gram is None else tuple(tuple(int(x) for x in r) for r in gram)
+    q = build_d4_form() if gram is None else tuple(tuple(map(index, r)) for r in gram)
     hits = []
-    for c in product(range(-bound, bound + 1), repeat=4):
+    for c in product(range(-_BOX, _BOX + 1), repeat=4):
         norm = sum(c[i] * q[i][j] * c[j] for i in range(4) for j in range(4))
         if norm == _MIN_NORM:
             hits.append(c)
@@ -165,39 +172,6 @@ def minimal_vectors(gram: Sequence[Sequence[int]] | None = None, bound: int = 3)
         if gcd_content(c) != 1:
             raise FanConstructionError(f"minimal vector {c} is not primitive")
     return tuple(sorted(hits))
-
-
-def _rays_from_vectors(vecs: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], tuple[SymMatrix, ...]]:
-    reps = sorted({_canon(v) for v in vecs})
-    if len(reps) != _EXPECTED_RAYS:
-        raise FanConstructionError(
-            f"expected {_EXPECTED_RAYS} antipodal pairs, found {len(reps)}"
-        )
-    gammas = tuple(SymMatrix.from_vector(c) for c in reps)
-    for g in gammas:
-        if gcd_content(g.coords) != 1:
-            raise FanConstructionError(f"ray {g.coords} is not primitive")
-    if cone_dim(Cone(_AMBIENT, tuple(g.coords for g in gammas))) != _AMBIENT:
-        raise FanConstructionError("rays do not span the full ambient space")
-    return tuple(reps), gammas
-
-
-def build_rays(gram: Sequence[Sequence[int]] | None = None) -> tuple[SymMatrix, ...]:
-    """The twelve rank-one rays c c^T, one per antipodal pair of minimal
-    vectors, sorted by their canonical representative."""
-    return _rays_from_vectors(minimal_vectors(gram))[1]
-
-
-def build_eta(rays: Sequence[SymMatrix]) -> SymMatrix:
-    """Primitive generator of the barycenter ray (sum of all rays divided
-    by its content)."""
-    total = [0] * _AMBIENT
-    for g in rays:
-        for k, x in enumerate(g.coords):
-            total[k] += x
-    if gcd_content(total) == 0:
-        raise ValueError("ray sum is zero; no barycenter ray exists")
-    return SymMatrix.from_coords(primitive_vector(total))
 
 
 def _dual_coords(coords: Sequence[int]) -> tuple[int, ...]:
@@ -235,20 +209,26 @@ def build_star_fan(change_of_basis: Sequence[Sequence[int]] | None = None) -> St
     transported along c -> U^{-1} c; every combinatorial invariant must
     be unchanged, which the tests exercise.
     """
-    q = build_d4_form()
-    vecs: Sequence[tuple[int, ...]] = minimal_vectors(q)
-    if change_of_basis is not None:
-        u = tuple(tuple(int(x) for x in row) for row in change_of_basis)
-        if abs(int_det(u)) != 1:
-            raise ValueError("change of basis must be unimodular")
+    q, u = _form_in_basis(change_of_basis)
+    vecs: Sequence[tuple[int, ...]] = minimal_vectors()
+    if u is not None:
         uinv = unimodular_inverse(u)
-        q = _matmul(_transpose(u), _matmul(q, u))
         vecs = sorted(
             tuple(sum(uinv[i][j] * v[j] for j in range(4)) for i in range(4))
             for v in vecs
         )
-    reps, gammas = _rays_from_vectors(vecs)
+    reps = tuple(sorted({_canon(v) for v in vecs}))
+    if len(reps) != _EXPECTED_RAYS:
+        raise FanConstructionError(
+            f"expected {_EXPECTED_RAYS} antipodal pairs, found {len(reps)}"
+        )
+    gammas = tuple(SymMatrix.from_vector(c) for c in reps)
+    for g in gammas:
+        if gcd_content(g.coords) != 1:
+            raise FanConstructionError(f"ray {g.coords} is not primitive")
     base = Cone(_AMBIENT, tuple(g.coords for g in gammas))
+    if cone_dim(base) != _AMBIENT:
+        raise FanConstructionError("rays do not span the full ambient space")
     total = [0] * _AMBIENT
     for g in gammas:
         for k, x in enumerate(g.coords):
@@ -293,26 +273,21 @@ class LatticeAutomorphism:
     matrix: tuple[tuple[int, ...], ...]
     ray_permutation: tuple[int, ...]
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(self.matrix[i][j] * vec[j] for j in range(4)) for i in range(4))
-
 
 @dataclass(frozen=True)
 class Stabilizer:
     order: int
     elements: tuple[LatticeAutomorphism, ...]
 
-    def matrix_set(self) -> frozenset[tuple[tuple[int, ...], ...]]:
-        return frozenset(e.matrix for e in self.elements)
-
 
 def compute_stabilizer(star: StarFan) -> Stabilizer:
     """All integer automorphisms of the quartic form, as a permutation
     group on the rays.
 
-    Candidates send each basis vector to a minimal vector (basis vectors
-    have norm 2) subject to the Gram conditions. The form's inner
-    products between minimal vectors are tabulated once, so the
+    Candidates send each basis vector to a minimal vector subject to the
+    Gram conditions, so every basis vector must itself be minimal (norm
+    2); a basis that breaks this is rejected, not searched. The form's
+    inner products between minimal vectors are tabulated once, so the
     candidates for each column are the intersection of the neighbour
     sets of the columns already chosen; columns are tried in sorted
     order. Every element is checked to be unimodular, to permute the
@@ -321,6 +296,12 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     actually carry the symmetry.
     """
     q = star.gram
+    for i in range(4):
+        if q[i][i] != _MIN_NORM:
+            raise StabilizerError(
+                f"basis vector {i + 1} has norm {q[i][i]}, not the minimal norm "
+                f"{_MIN_NORM}; the search only maps basis vectors to minimal vectors"
+            )
     vecs = sorted(set(star.ray_vectors) | {tuple(-x for x in v) for v in star.ray_vectors})
     qv = [tuple(sum(q[i][j] * v[j] for j in range(4)) for i in range(4)) for v in vecs]
     # nbr[a][x]: the indices b with <vecs[a], vecs[b]> = x.

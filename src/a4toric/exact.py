@@ -10,17 +10,14 @@ tuples or lists and never mutate their arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 from typing import Sequence
 
-Rational = Fraction
 Scalar = int | Fraction
 
 __all__ = [
-    "Rational",
     "DimensionError",
     "gcd_content",
     "primitive_vector",
@@ -28,8 +25,6 @@ __all__ = [
     "rank",
     "rref",
     "kernel_line",
-    "SolveResult",
-    "solve_exact",
     "unimodular_inverse",
 ]
 
@@ -195,76 +190,6 @@ def kernel_line(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[int, ...]
     for i, c in enumerate(pivots):
         vec[c] = -mat[i][free] * sign
     return primitive_vector(vec)
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of an exact linear solve.
-
-    `solution` sets every free column to zero; it is None when the system
-    is inconsistent. `determined` lists the columns whose value does not
-    depend on the choice of free columns. `inconsistent_row` is the index
-    of an input row that reduces to 0 = nonzero.
-    """
-
-    solution: tuple[Fraction, ...] | None
-    pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...]
-    consistent: bool
-    inconsistent_row: int | None
-    determined: frozenset[int]
-
-    @property
-    def unique(self) -> bool:
-        return self.consistent and not self.free_cols
-
-
-def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> SolveResult:
-    """Solve `matrix * x = rhs` exactly by Gauss-Jordan elimination.
-
-    Full diagnostics: pivot and free columns, which unknowns are uniquely
-    determined, and on inconsistency the original index of a row whose
-    reduction yields a contradiction.
-    """
-    m = len(matrix)
-    if len(rhs) != m:
-        raise DimensionError("matrix and right-hand side disagree in row count")
-    ncols = len(matrix[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for row in matrix:
-        if len(row) != ncols:
-            raise DimensionError("ragged matrix")
-    labels = list(range(m))
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        labels[r], labels[pivot] = labels[pivot], labels[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    pivot_cols = tuple(c for _, c in pivots)
-    free_cols = tuple(c for c in range(ncols) if c not in pivot_cols)
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            return SolveResult(None, pivot_cols, free_cols, False, labels[i], frozenset())
-    solution = [Fraction(0)] * ncols
-    determined = set()
-    for row, c in pivots:
-        solution[c] = aug[row][ncols]
-        if all(aug[row][f] == 0 for f in free_cols):
-            determined.add(c)
-    return SolveResult(tuple(solution), pivot_cols, free_cols, True, None, frozenset(determined))
 
 
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:

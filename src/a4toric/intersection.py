@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .cones import Fan
 from .exact import unimodular_inverse
@@ -45,15 +45,12 @@ __all__ = [
     "format_monomial",
     "LinearRelation",
     "build_relations",
-    "SystemRow",
     "LinearSystem",
     "assemble_system",
     "SystemSolution",
     "ConeAtlas",
     "solve_system",
-    "solve_e10",
     "squarefree_value",
-    "evaluate_recursive",
     "IntersectionEngine",
 ]
 
@@ -151,16 +148,6 @@ def build_relations(fan: Fan) -> tuple[LinearRelation, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SystemRow:
-    """One relation multiplied by one monomial: the signed sum of
-    `products` values is zero."""
-
-    multiplier: Monomial
-    relation_index: int
-    products: tuple[tuple[Monomial, int], ...]
-
-
 @dataclass
 class LinearSystem:
     """The assembled block system.
@@ -179,7 +166,6 @@ class LinearSystem:
     multipliers: tuple[Monomial, ...]
     unknown_index: dict[Monomial, int]
     admissible: frozenset[frozenset[int]]
-    star_supports: tuple[frozenset[int], ...]
 
     @property
     def n_rows(self) -> int:
@@ -189,43 +175,19 @@ class LinearSystem:
     def n_unknowns(self) -> int:
         return len(self.unknown_index)
 
-    def iter_rows(self) -> Iterator[SystemRow]:
-        for mult in self.multipliers:
-            for rel in self.relations:
-                products = tuple(
-                    (_bump(mult, r), coeff)
-                    for r, coeff in enumerate(rel.coefficients)
-                    if coeff != 0
-                )
-                yield SystemRow(mult, rel.index, products)
 
-    def classify(self, mono: Sequence[int]) -> str:
-        """'zero', 'constant', or 'unknown' for a monomial occurring in a
-        row; anything else is a caller error."""
-        supp = _support(mono)
-        if not any(supp <= c for c in self.fan.top_cones):
-            return "zero"
-        if _is_squarefree(mono):
-            return "constant"
-        if tuple(mono) in self.unknown_index:
-            return "unknown"
-        raise ValueError(f"monomial {tuple(mono)} does not occur in the system")
-
-
-def _star_supports(fan: Fan, e_index: int) -> tuple[frozenset[int], ...]:
-    supports = tuple(frozenset(c - {e_index}) for c in fan.top_cones if e_index in c)
-    if not supports:
-        raise ValueError("no top cone contains the exceptional ray")
-    return supports
-
-
-def _admissible_family(supports: Sequence[frozenset[int]]) -> frozenset[frozenset[int]]:
+def _admissible_family(fan: Fan, e_index: int) -> frozenset[frozenset[int]]:
+    """Every set of rays that, with the exceptional ray, lies in a top cone."""
     family: set[frozenset[int]] = set()
-    for s in supports:
-        items = sorted(s)
+    for c in fan.top_cones:
+        if e_index not in c:
+            continue
+        items = sorted(c - {e_index})
         for r in range(len(items) + 1):
             for sub in combinations(items, r):
                 family.add(frozenset(sub))
+    if not family:
+        raise ValueError("no top cone contains the exceptional ray")
     return frozenset(family)
 
 
@@ -246,7 +208,8 @@ def assemble_system(
 
     Multipliers are the degree n-1 monomials with positive exceptional
     exponent and square-free divisor part whose support extends inside
-    some top cone; rows are generated on demand by iter_rows.
+    some top cone. A row is one relation times one multiplier; the
+    solver works block by block, so no row is ever built.
     """
     if relations is None:
         relations = build_relations(fan)
@@ -257,8 +220,7 @@ def assemble_system(
             "expected one relation per ambient coordinate with one "
             "coefficient per ray"
         )
-    supports = _star_supports(fan, e_index)
-    admissible = _admissible_family(supports)
+    admissible = _admissible_family(fan, e_index)
     ordered = sorted(admissible, key=lambda s: (len(s), tuple(sorted(s))))
     multipliers: list[Monomial] = []
     unknowns: list[Monomial] = []
@@ -280,7 +242,6 @@ def assemble_system(
         multipliers=tuple(multipliers),
         unknown_index=unknown_index,
         admissible=admissible,
-        star_supports=supports,
     )
 
 
@@ -385,8 +346,8 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     e = system.e_index
     n = fan.ambient
     n_rays = len(fan.rays)
-    # Ray vectors come from the stored relations so that iter_rows and
-    # this solver always describe the same equations.
+    # Ray vectors come from the stored relations, so the solver works on
+    # the system's own equations even when they are not the fan's.
     vectors = tuple(zip(*(rel.coefficients for rel in system.relations)))
     if atlas is None:
         atlas = ConeAtlas(vectors, fan.top_cones)
@@ -448,17 +409,6 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     )
 
 
-def solve_e10(system: LinearSystem) -> Fraction:
-    """Top self-intersection of the exceptional divisor, as an exact
-    rational; raises if the system is inconsistent."""
-    sol = solve_system(system)
-    if not sol.consistent:
-        raise InconsistentSystemError(
-            f"{len(sol.problems)} block inconsistencies; first: {sol.problems[0]}"
-        )
-    return Fraction(sol.e_top)
-
-
 def squarefree_value(mono: Sequence[int], fan: Fan) -> int:
     """1 if the support is exactly the ray set of a top cone, else 0.
 
@@ -509,6 +459,8 @@ class IntersectionEngine:
 
     @property
     def e_top(self) -> Fraction:
+        """Top self-intersection of the exceptional divisor, as an exact
+        rational; raises if the system is inconsistent."""
         sol = self.solution
         if not sol.consistent:
             raise InconsistentSystemError(
@@ -516,15 +468,12 @@ class IntersectionEngine:
             )
         return Fraction(sol.e_top)
 
-    def squarefree_value(self, mono: Sequence[int]) -> int:
-        return squarefree_value(mono, self.fan)
-
     def system_value(self, mono: Sequence[int]) -> int | None:
         """Value according to the linear system: a solved unknown, a
         square-free constant, or None if the monomial is not a column."""
         key = tuple(mono)
         if _is_squarefree(key) and sum(key) == self.fan.ambient:
-            return self.squarefree_value(key)
+            return squarefree_value(key, self.fan)
         return self.solution.values.get(key)
 
     def evaluate(self, mono: Sequence[int]) -> int:
@@ -570,13 +519,3 @@ class IntersectionEngine:
         self._memo[mono] = value
         return value
 
-
-def evaluate_recursive(
-    mono: Sequence[int],
-    fan: Fan,
-    e_index: int = 0,
-    engine: IntersectionEngine | None = None,
-) -> int:
-    """Convenience wrapper building a throwaway engine when none is given."""
-    eng = engine if engine is not None else IntersectionEngine(fan, e_index)
-    return eng.evaluate(mono)

@@ -8,10 +8,9 @@ For genus g the top power of the Hodge class L on the coarse space is
 with h = g(g+1)/2 and B_2j the Bernoulli numbers. The stack count is
 half of this: the generic abelian variety has the automorphism +-1.
 
-Absolute values of the Bernoulli numbers are the default because the
+The formula takes absolute values of the Bernoulli numbers: the
 signed product alternates (already negative at genus 2) while the
-geometric degree is positive; the signed variant stays available
-behind a flag for diagnostics.
+geometric degree is positive.
 """
 
 from __future__ import annotations
@@ -48,19 +47,14 @@ class ProportionalityResult:
     top_power: int
     value: Fraction
     stack_value: Fraction
-    signed: bool
 
 
-def l_top(genus: int, signed: bool = False) -> ProportionalityResult:
-    """Evaluate the closed form above; `signed` keeps the Bernoulli signs
-    instead of taking absolute values."""
+def l_top(genus: int) -> ProportionalityResult:
+    """Evaluate the closed form above."""
     if genus < 1:
         raise ValueError("genus must be at least 1")
     h = genus * (genus + 1) // 2
     value = Fraction(factorial(h) * 2 ** ((genus - 1) * (genus - 2) // 2))
     for j in range(1, genus + 1):
-        b = bernoulli(2 * j)
-        if not signed:
-            b = abs(b)
-        value *= Fraction(factorial(j - 1), factorial(2 * j)) * b
-    return ProportionalityResult(genus, h, value, value / 2, signed)
+        value *= Fraction(factorial(j - 1), factorial(2 * j)) * abs(bernoulli(2 * j))
+    return ProportionalityResult(genus, h, value, value / 2)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping
 
 __all__ = [
     "FaberData",
@@ -34,8 +34,6 @@ __all__ = [
     "TOP_DEGREE",
     "RECURRENCE_FACTOR",
     "PULLBACK_E_COEFF",
-    "JACOBIAN_CLASS_FIRST",
-    "JACOBIAN_CLASS_SECOND",
 ]
 
 TOP_DEGREE = 10
@@ -46,11 +44,6 @@ RECURRENCE_FACTOR = 8
 # F is the total transform of the first boundary divisor; the strict
 # transform is D = F - PULLBACK_E_COEFF * E.
 PULLBACK_E_COEFF = 4
-
-# The closure of the Jacobian locus, expressed in divisor classes:
-# 8L - D on the first compactification, 8L - F - 4E on the second.
-JACOBIAN_CLASS_FIRST: tuple[int, int] = (8, -1)
-JACOBIAN_CLASS_SECOND: tuple[int, int, int] = (8, -1, -4)
 
 
 @dataclass(frozen=True)
@@ -181,7 +174,3 @@ def geometric_basis(table: VoronoiTable, k: int, m: int, l: int) -> Fraction:
             total += comb(m, j) * Fraction(-PULLBACK_E_COEFF) ** j * term
     return total
 
-
-def table_rows(table: IgusaTable) -> Sequence[tuple[int, Fraction]]:
-    """(k, a_k) pairs from k = 10 down to 0, for rendering."""
-    return [(k, table.a(k)) for k in range(TOP_DEGREE, -1, -1)]

@@ -20,7 +20,7 @@ from typing import Sequence
 from .cones import Cone, Fan, enumerate_facets
 from .d4fan import StarFan, Stabilizer, build_star_fan, compute_stabilizer
 from .exact import int_det, primitive_vector, rref
-from .intersection import IntersectionEngine, solve_e10
+from .intersection import IntersectionEngine
 from .proportionality import bernoulli, l_top
 from .tables import (
     FaberData,
@@ -83,10 +83,6 @@ class VerifyReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failed(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
 
 def projective_plane_fan() -> Fan:
@@ -226,10 +222,6 @@ def _oracle_cones() -> list[Cone]:
         Cone(4, tuple((a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1))),
         Cone(3, ((1, 0, 0), (1, 2, 0))),
     ]
-
-
-def _squarefree_top_monomial(fan: Fan, cone: frozenset[int]) -> tuple[int, ...]:
-    return tuple(1 if i in cone else 0 for i in range(len(fan.rays)))
 
 
 def run_all(
@@ -447,7 +439,7 @@ def run_all(
         top = tuple(
             fan.ambient if i == e_index else 0 for i in range(len(fan.rays))
         )
-        if toy.evaluate(top) != expected or solve_e10(toy.system) != expected:
+        if toy.evaluate(top) != expected or toy.e_top != expected:
             oracle_problems.append(f"toy fan {name} disagrees with {expected}")
     checks.append(
         _check_flag(

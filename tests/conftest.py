@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,34 @@ def stabilizer(star):
 @pytest.fixture(scope="session")
 def engine(star):
     return IntersectionEngine(star.fan, star.e_index)
+
+
+@dataclass(frozen=True)
+class SystemRow:
+    """One relation multiplied by one monomial: the signed sum of
+    `products` values is zero."""
+
+    multiplier: tuple[int, ...]
+    relation_index: int
+    products: tuple[tuple[tuple[int, ...], int], ...]
+
+
+def iter_rows(system):
+    """Every row of a LinearSystem, built from its raw relations. Neither
+    the solver nor verify builds rows, so this is the tests' reference."""
+    for mult in system.multipliers:
+        for rel in system.relations:
+            products = tuple(
+                (mult[:r] + (mult[r] + 1,) + mult[r + 1 :], coeff)
+                for r, coeff in enumerate(rel.coefficients)
+                if coeff != 0
+            )
+            yield SystemRow(mult, rel.index, products)
+
+
+@pytest.fixture(scope="session")
+def system_rows():
+    return iter_rows
 
 
 @pytest.fixture(scope="session")

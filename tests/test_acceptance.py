@@ -14,7 +14,7 @@ import pytest
 
 from a4toric.exact import int_det
 from a4toric.cones import enumerate_facets
-from a4toric.intersection import IntersectionEngine, solve_e10
+from a4toric.intersection import IntersectionEngine
 from a4toric.proportionality import bernoulli, l_top
 from a4toric.tables import (
     TOP_DEGREE,
@@ -119,7 +119,7 @@ def test_criterion_5_stabilizer(star, stabilizer, acceptance_log):
 
 
 def test_criterion_6_toric_top_power(engine, acceptance_log):
-    value = solve_e10(engine.system)
+    value = engine.e_top
     sol = engine.solution
     unique = sol.rank == sol.n_unknowns and not sol.free_columns
     ok = value == Fraction(-1680) and sol.consistent and unique
@@ -132,14 +132,14 @@ def test_criterion_6_toric_top_power(engine, acceptance_log):
     assert unique
 
 
-def test_criterion_7_engine_cross_agreement(engine, acceptance_log):
+def test_criterion_7_engine_cross_agreement(engine, acceptance_log, system_rows):
     sol = engine.solution
     mismatches = sum(
         1 for mono, value in sol.values.items() if engine.evaluate(mono) != value
     )
     bad_rows = sum(
         1
-        for row in engine.system.iter_rows()
+        for row in system_rows(engine.system)
         if sum(coeff * engine.evaluate(mono) for mono, coeff in row.products) != 0
     )
     ok = mismatches == 0 and bad_rows == 0
@@ -153,7 +153,7 @@ def test_criterion_7_engine_cross_agreement(engine, acceptance_log):
 
 
 def test_criterion_8_second_table(igusa, engine, stabilizer, acceptance_log):
-    e_top = solve_e10(engine.system)
+    e_top = engine.e_top
     vor = voronoi_table(igusa, e_top, stabilizer.order)
     corner = vor.a(0, TOP_DEGREE)
     corner_ok = corner == Fraction(e_top, stabilizer.order) == Fraction(-35, 24)
@@ -208,7 +208,7 @@ def test_criterion_9_oracle_suites(acceptance_log):
     ):
         toy = IntersectionEngine(fan, e_index)
         top = tuple(fan.ambient if i == e_index else 0 for i in range(len(fan.rays)))
-        if toy.evaluate(top) != expected or solve_e10(toy.system) != expected:
+        if toy.evaluate(top) != expected or toy.e_top != expected:
             problems.append("toy fan self-intersection is wrong")
     ok = not problems
     _announce(acceptance_log, 9, "facet, determinant, Bernoulli, and toy-fan oracles", ok)

@@ -14,6 +14,21 @@ from a4toric.intersection import IntersectionEngine
 from a4toric.tables import FaberData
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+CLI_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Every command pinned under tests/golden, as <name>.txt (text) and
+# <name>.json (JSON); both are rendered with --reproducible.
+GOLDEN_COMMANDS = {
+    "fan_report": ["fan", "report"],
+    "intersection_e10": ["intersection", "e10"],
+    "intersection_E9_D1": ["intersection", "E^9*D1"],
+    "intersection_E8_D1_2": ["intersection", "E^8*D1^2"],
+    "tables_igusa": ["tables", "igusa"],
+    "tables_voronoi_lfe": ["tables", "voronoi", "--basis", "lfe"],
+    "tables_voronoi_geometric": ["tables", "voronoi", "--basis", "geometric"],
+    "tables_ltop_stack_genus3": ["tables", "ltop", "--stack", "--genus", "3"],
+    "verify": ["verify"],
+}
 
 
 def run_cli(capsys, argv):
@@ -251,6 +266,16 @@ def test_reproducible_output_matches_golden_file(capsys, argv, golden):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_every_command_matches_its_golden_output(capsys, name, fmt):
+    argv = GOLDEN_COMMANDS[name] + ["--format", fmt, "--reproducible"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    suffix = "txt" if fmt == "text" else "json"
+    assert out.encode("utf-8") == (CLI_GOLDEN / f"{name}.{suffix}").read_bytes()
 
 
 def test_timestamp_presence(capsys):

@@ -10,10 +10,9 @@ from a4toric.cones import (
     Fan,
     cone_dim,
     enumerate_facets,
-    is_basic,
-    spans_cone,
 )
 from a4toric.exact import DimensionError, primitive_vector
+from a4toric.intersection import ConeAtlas
 from a4toric.verify import _facets_by_subset_scan
 
 SQUARE_CONE = Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
@@ -126,29 +125,6 @@ def test_facets_match_subset_scan_on_random_pointed_cones(raw):
     assert direct == _facets_by_subset_scan(cone)
 
 
-def test_spans_cone():
-    tops = [frozenset({0, 1}), frozenset({1, 2})]
-    assert spans_cone(tops, {0, 1}, 3)
-    assert spans_cone(tops, {1}, 3)
-    assert spans_cone(tops, (), 3)
-    assert not spans_cone(tops, {0, 2}, 3)
-    with pytest.raises(IndexError):
-        spans_cone(tops, {3}, 3)
-    with pytest.raises(IndexError):
-        spans_cone(tops, {-1}, 3)
-
-
-def test_is_basic():
-    assert is_basic(Cone(2, ((1, 0), (0, 1))))
-    assert not is_basic(Cone(2, ((1, 0), (1, 2))))
-    assert is_basic(Cone(3, ((1, 0, 0), (0, 1, 0))))
-    assert not is_basic(Cone(3, ((1, 2, 0), (1, 0, 2))))
-    with pytest.raises(ValueError):
-        is_basic(SQUARE_CONE)
-    with pytest.raises(DimensionError):
-        is_basic(Cone(2, ((1, 0), (0, 1))), lattice_dim=3)
-
-
 def test_fan_validation():
     Fan(((1, 0), (0, 1), (-1, -1)), (frozenset({0, 1}),))
     with pytest.raises(ValueError):
@@ -164,6 +140,9 @@ def test_fan_validation():
 def test_fan_spans():
     fan = Fan(((1, 0), (0, 1), (1, 1)), (frozenset({0, 2}), frozenset({1, 2})))
     assert fan.ambient == 2
-    assert fan.spans({2})
-    assert fan.spans({0, 2})
-    assert not fan.spans({0, 1})
+    # The fan's one cone lookup: a bitmask of ray indices maps to a top
+    # cone containing all of them, or to None.
+    atlas = ConeAtlas(fan.rays, fan.top_cones)
+    assert atlas.cone_for(0b100) is not None
+    assert atlas.cone_for(0b101) is not None
+    assert atlas.cone_for(0b011) is None

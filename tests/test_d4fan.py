@@ -3,10 +3,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from a4toric.cones import Cone, cone_dim
+from a4toric.cones import Cone, Fan, cone_dim
 from a4toric.d4fan import (
     COORD_PAIRS,
     D4_BASIS,
@@ -15,14 +16,12 @@ from a4toric.d4fan import (
     SymMatrix,
     _canon,
     build_d4_form,
-    build_eta,
-    build_rays,
     build_star_fan,
     compute_stabilizer,
     minimal_vectors,
 )
 from a4toric.exact import gcd_content, int_det
-from a4toric.intersection import evaluate_recursive
+from a4toric.intersection import IntersectionEngine
 
 EXPECTED_GRAM = (
     (2, -1, 0, 0),
@@ -79,18 +78,8 @@ def test_sym_matrix_examples():
         SymMatrix.from_coords((1, 2, 3))
 
 
-def test_sym_matrix_transform():
-    s = SymMatrix.from_vector((1, 2, 1, 1))
-    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    assert s.transform(identity) == s
-    neg = tuple(tuple(-int(i == j) for j in range(4)) for i in range(4))
-    assert s.transform(neg) == s
-    swap01 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert s.transform(swap01) == SymMatrix.from_vector((2, 1, 1, 1))
-
-
-def test_rays():
-    rays = build_rays()
+def test_rays(star):
+    rays = star.gammas
     assert len(rays) == 12
     coords = [g.coords for g in rays]
     assert len(set(coords)) == 12
@@ -98,9 +87,9 @@ def test_rays():
     assert cone_dim(Cone(10, tuple(coords))) == 10
 
 
-def test_eta():
-    rays = build_rays()
-    eta = build_eta(rays)
+def test_eta(star):
+    rays = star.gammas
+    eta = star.eta
     assert eta.coords == EXPECTED_ETA
     total = [sum(g.coords[k] for g in rays) for k in range(10)]
     assert gcd_content(total) == 3
@@ -146,14 +135,14 @@ def test_star_fan_determinism(star):
 def test_stabilizer_order(stabilizer):
     assert stabilizer.order == 1152
     assert len(stabilizer.elements) == 1152
-    assert len(stabilizer.matrix_set()) == 1152
+    assert len({e.matrix for e in stabilizer.elements}) == 1152
 
 
 def test_stabilizer_elements(star, stabilizer):
     q = star.gram
     identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
     neg = tuple(tuple(-x for x in row) for row in identity)
-    mats = stabilizer.matrix_set()
+    mats = {e.matrix for e in stabilizer.elements}
     assert identity in mats
     assert neg in mats
     by_matrix = {e.matrix: e for e in stabilizer.elements}
@@ -201,7 +190,7 @@ def test_change_of_basis_invariance(u):
     assert moved.eta_content == 3
     assert moved.gram == build_d4_form(change_of_basis=u)
     top = tuple(10 if i == 0 else 0 for i in range(13))
-    assert evaluate_recursive(top, moved.fan, moved.e_index) == -1680
+    assert IntersectionEngine(moved.fan, moved.e_index).evaluate(top) == -1680
 
 
 def test_change_of_basis_stabilizer_order():
@@ -216,6 +205,49 @@ def test_change_of_basis_rejects_non_unimodular():
         build_star_fan(change_of_basis=bad)
     with pytest.raises(ValueError):
         build_d4_form(change_of_basis=bad)
+
+
+def test_stabilizer_rejects_basis_with_a_non_minimal_vector():
+    # A valid unimodular change of basis whose first vector has norm 4:
+    # the fan builds, but the search maps basis vectors to norm-2 vectors
+    # only, so it must refuse rather than report an empty group.
+    u = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))
+    moved = build_star_fan(change_of_basis=u)
+    assert len(moved.fan.top_cones) == 64
+    assert moved.gram[0][0] == 4
+    with pytest.raises(StabilizerError, match="basis vector 1 has norm 4"):
+        compute_stabilizer(moved)
+
+
+IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def _with_entry(matrix, i, j, x):
+    return tuple(
+        tuple(x if (r, c) == (i, j) else v for c, v in enumerate(row))
+        for r, row in enumerate(matrix)
+    )
+
+
+# Each boundary fed a non-integer that int() would truncate to valid
+# input: 3/2 -> 1 and -3/2 -> -1.
+BOUNDARIES = {
+    "build_star_fan": lambda x: build_star_fan(change_of_basis=_with_entry(IDENTITY, 0, 0, x)),
+    "build_d4_form": lambda x: build_d4_form(change_of_basis=_with_entry(IDENTITY, 0, 0, x)),
+    "minimal_vectors": lambda x: minimal_vectors(
+        _with_entry(_with_entry(EXPECTED_GRAM, 0, 1, -x), 1, 0, -x)
+    ),
+    "SymMatrix": lambda x: SymMatrix(_with_entry(IDENTITY, 0, 0, x)),
+    "Cone": lambda x: Cone(2, ((x, 0), (0, 1))),
+    "Fan": lambda x: Fan(((x, 0), (0, 1)), (frozenset({0, 1}),)),
+}
+
+
+@pytest.mark.parametrize("x", [1.5, Fraction(3, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_non_integer_input_is_rejected(boundary, x):
+    with pytest.raises(TypeError):
+        BOUNDARIES[boundary](x)
 
 
 def test_canon():
@@ -262,9 +294,13 @@ def test_stabilizer_matches_four_deep_scan(star, stabilizer):
 
 
 def test_stabilizer_matches_four_deep_scan_in_another_basis():
-    u = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, -1))
+    # Every basis vector is minimal (columns e2, e1 + e2, e3, -e4), as the
+    # search requires; the Gram matrix differs from the shipped one.
+    u = ((0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
     moved = build_star_fan(change_of_basis=u)
+    assert moved.gram != EXPECTED_GRAM
     got = compute_stabilizer(moved)
+    assert got.order == 1152
     assert [(e.matrix, e.ray_permutation) for e in got.elements] == _scan_form_automorphisms(moved)
 
 

@@ -15,7 +15,6 @@ from a4toric.exact import (
     primitive_vector,
     rank,
     rref,
-    solve_exact,
     unimodular_inverse,
 )
 
@@ -119,51 +118,6 @@ def test_kernel_line():
     assert kernel_line([[1, 0, 0]], 3) is None
     # rational entries clear denominators to a primitive integer vector
     assert kernel_line([[Fraction(1, 2), Fraction(1, 3)]], 2) == (-2, 3)
-
-
-def test_solve_exact_unique():
-    res = solve_exact([[2, 0], [0, 4]], [6, 8])
-    assert res.consistent and res.unique
-    assert res.solution == (3, 2)
-    assert res.pivot_cols == (0, 1)
-    assert res.free_cols == ()
-    assert res.determined == frozenset({0, 1})
-
-
-def test_solve_exact_inconsistent_reports_row():
-    res = solve_exact([[1, 1], [2, 2], [1, 0]], [1, 3, 0])
-    assert not res.consistent
-    assert res.solution is None
-    # row 1 is the one that reduces to 0 = nonzero
-    assert res.inconsistent_row == 1
-
-
-def test_solve_exact_underdetermined():
-    res = solve_exact([[1, 1, 0], [0, 0, 1]], [2, 5])
-    assert res.consistent and not res.unique
-    assert res.free_cols == (1,)
-    assert res.determined == frozenset({2})
-    assert res.solution == (2, 0, 5)
-
-
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            small_int_matrix(n),
-            st.lists(rationals, min_size=n, max_size=n),
-        )
-    )
-)
-def test_solve_exact_substitution(case):
-    mat, x = case
-    rhs = [sum(Fraction(mat[i][j]) * x[j] for j in range(len(x))) for i in range(len(mat))]
-    res = solve_exact(mat, rhs)
-    assert res.consistent
-    back = [
-        sum(Fraction(mat[i][j]) * res.solution[j] for j in range(len(x)))
-        for i in range(len(mat))
-    ]
-    assert back == rhs
 
 
 def test_unimodular_inverse():

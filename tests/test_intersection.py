@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from a4toric import intersection
-from a4toric.exact import solve_exact, unimodular_inverse
+from a4toric.exact import rref, unimodular_inverse
 from a4toric.intersection import (
     ConeAtlas,
     InconsistentSystemError,
@@ -18,10 +18,8 @@ from a4toric.intersection import (
     UnsupportedMonomialError,
     assemble_system,
     build_relations,
-    evaluate_recursive,
     format_monomial,
     parse_monomial,
-    solve_e10,
     solve_system,
     squarefree_value,
 )
@@ -103,7 +101,9 @@ def test_assemble_system_shape(engine):
     assert system.n_unknowns == N_UNKNOWNS
     assert system.n_rows == N_ROWS
     assert len(system.relations) == 10
-    assert len(system.star_supports) == 64
+    # The largest admissible supports are the 64 cones through E, less E.
+    assert sum(len(s) == 9 for s in system.admissible) == 64
+    assert max(len(s) for s in system.admissible) == 9
     rng = random.Random(11)
     for mult in rng.sample(system.multipliers, 25):
         assert sum(mult) == 9
@@ -118,27 +118,9 @@ def test_assemble_system_shape(engine):
         assert (repeated == [] and mono[0] >= 2) or (repeated == [2])
 
 
-def test_classify(star, engine):
+def test_iter_rows_counts(engine, system_rows):
     system = engine.system
-    assert system.classify((10,) + (0,) * 12) == "unknown"
-    facet = star.facets[0]
-    cone_mono = tuple(
-        1 if i == 0 or (i - 1) in facet.incident else 0 for i in range(13)
-    )
-    assert system.classify(cone_mono) == "constant"
-    no_eta = (0,) + tuple(1 if i < 10 else 0 for i in range(12))
-    assert system.classify(no_eta) == "zero"
-    i, j = sorted(facet.incident)[:2]
-    two_squares = tuple(
-        6 if k == 0 else 2 if k in (1 + i, 1 + j) else 0 for k in range(13)
-    )
-    with pytest.raises(ValueError):
-        system.classify(two_squares)
-
-
-def test_iter_rows_counts(engine):
-    system = engine.system
-    rows = list(system.iter_rows())
+    rows = list(system_rows(system))
     assert len(rows) == N_ROWS
     first = rows[0]
     assert sum(first.multiplier) == 9
@@ -159,7 +141,6 @@ def test_solve_system(engine):
     assert set(sol.values) == set(engine.system.unknown_index)
     assert all(isinstance(v, int) for v in sol.values.values())
     assert engine.e_top == Fraction(E_TOP)
-    assert solve_e10(engine.system) == Fraction(E_TOP)
 
 
 def test_block_solve_matches_dense_elimination(engine):
@@ -191,10 +172,12 @@ def test_block_solve_matches_dense_elimination(engine):
             )
             for j in range(10)
         ]
-        res = solve_exact(matrix, rhs)
-        assert res.consistent and res.unique
+        # The augmented system is consistent with a unique solution exactly
+        # when the pivots are the unknown columns, all of them.
+        red, pivots = rref([row + [b] for row, b in zip(matrix, rhs)])
+        assert pivots == list(range(len(cols)))
         for pos, ray in enumerate(cols):
-            assert res.solution[pos] == sol.values[_bump(mult, ray)]
+            assert red[pos][-1] == sol.values[_bump(mult, ray)]
 
 
 def test_engines_agree_on_sample(engine):
@@ -232,7 +215,7 @@ def test_projective_plane_both_engines():
         eng = IntersectionEngine(fan, e_index)
         top = tuple(2 if i == e_index else 0 for i in range(3))
         assert eng.evaluate(top) == 1
-        assert solve_e10(eng.system) == 1
+        assert eng.e_top == 1
         assert eng.system.n_unknowns == 1
         assert eng.solution.values[top] == 1
     assert squarefree_value((1, 1, 0), fan) == 1
@@ -243,12 +226,11 @@ def test_plane_blowup_both_engines():
     fan = plane_blowup_fan()
     eng = IntersectionEngine(fan, 2)
     assert eng.evaluate((0, 0, 2)) == -1
-    assert solve_e10(eng.system) == -1
+    assert eng.e_top == -1
     assert eng.evaluate((1, 0, 1)) == 1
     assert eng.evaluate((0, 1, 1)) == 1
     assert squarefree_value((1, 1, 0), fan) == 0
-    assert evaluate_recursive((0, 0, 2), fan, 2) == -1
-    assert evaluate_recursive((0, 0, 2), fan, 2, engine=eng) == -1
+    assert IntersectionEngine(fan, 2).evaluate((0, 0, 2)) == -1
 
 
 def test_doctored_relations_are_caught():
@@ -261,8 +243,10 @@ def test_doctored_relations_are_caught():
     sol = solve_system(system)
     assert not sol.consistent
     assert any("must vanish" in p for p in sol.problems)
+    eng = IntersectionEngine(fan, 2)
+    eng._solution = sol
     with pytest.raises(InconsistentSystemError):
-        solve_e10(system)
+        eng.e_top
     # An atlas of the undoctored rays does not describe these relations.
     with pytest.raises(ValueError):
         solve_system(system, ConeAtlas(fan.rays, fan.top_cones))

@@ -47,7 +47,6 @@ def test_l_top_genus_4():
     assert res.top_power == 10
     assert res.value == Fraction(1, 907200)
     assert res.stack_value == Fraction(1, 1814400)
-    assert res.signed is False
 
 
 def test_l_top_small_genus():
@@ -58,15 +57,6 @@ def test_l_top_small_genus():
     two = l_top(2)
     assert two.top_power == 3
     assert two.value == Fraction(1, 1440)
-
-
-def test_l_top_signed_variant():
-    # At genus 2 the signed Bernoulli product is negative; at genus 4
-    # the two negative factors cancel and both variants agree.
-    assert l_top(2, signed=True).value < 0 < l_top(2).value
-    assert l_top(2, signed=True).value == -l_top(2).value
-    assert l_top(4, signed=True).value == l_top(4).value
-    assert l_top(4, signed=True).signed is True
 
 
 def test_l_top_rejects_bad_genus():

@@ -7,8 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from a4toric.tables import (
-    JACOBIAN_CLASS_FIRST,
-    JACOBIAN_CLASS_SECOND,
     PULLBACK_E_COEFF,
     RECURRENCE_FACTOR,
     TOP_DEGREE,
@@ -16,7 +14,6 @@ from a4toric.tables import (
     IgusaTable,
     geometric_basis,
     igusa_table,
-    table_rows,
     verify_recurrence,
     voronoi_table,
 )
@@ -52,9 +49,6 @@ def test_constants():
     assert TOP_DEGREE == 10
     assert RECURRENCE_FACTOR == 8
     assert PULLBACK_E_COEFF == 4
-    assert JACOBIAN_CLASS_FIRST == (8, -1)
-    assert JACOBIAN_CLASS_SECOND == (8, -1, -4)
-    assert JACOBIAN_CLASS_SECOND[2] == PULLBACK_E_COEFF * JACOBIAN_CLASS_FIRST[1]
 
 
 def test_faber_data():
@@ -149,13 +143,6 @@ def test_geometric_basis(voronoi):
         geometric_basis(voronoi, 1, 1, 1)
     with pytest.raises(ValueError):
         geometric_basis(voronoi, -1, 1, 10)
-
-
-def test_table_rows(igusa):
-    rows = table_rows(igusa)
-    assert rows[0] == (10, A_TOP)
-    assert rows[-1] == (0, Fraction(101449217, 1440))
-    assert [k for k, _ in rows] == list(range(10, -1, -1))
 
 
 def test_exact_string_round_trip(voronoi, igusa):

@@ -37,7 +37,7 @@ def test_stabilizer_check_fails_on_ragged_or_stray_facets(star, stabilizer):
     assert not _permutes_facets(12, stray, stabilizer)
 
 
-def test_row_sweep_counts_the_rows_iter_rows_gives(star, stabilizer):
+def test_row_sweep_counts_the_rows_iter_rows_gives(star, stabilizer, system_rows):
     eng = IntersectionEngine(star.fan, star.e_index)
     # E^2 times the eight divisors of the last multiplier: a deep unknown,
     # so the corrupted value spreads to every entry computed from it.
@@ -51,7 +51,7 @@ def test_row_sweep_counts_the_rows_iter_rows_gives(star, stabilizer):
     reported = int(re.search(r"(\d+) nonzero rows of 33110", check.actual).group(1))
     counted = sum(
         1
-        for r in eng.system.iter_rows()
+        for r in system_rows(eng.system)
         if sum(coeff * eng._eval(m) for m, coeff in r.products) != 0
     )
     assert counted > 10
