@@ -241,11 +241,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, faber_override: FaberData | None) -> int:
-    star, stabilizer, engine = _context()
-    report = run_all(
-        faber=faber_override, star=star, stabilizer=stabilizer, engine=engine
-    )
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = run_all(*_context())
     checks = [dataclasses.asdict(c) for c in report.checks]
     passed = sum(c["passed"] for c in checks)
     results = {
@@ -319,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None, *, _faber_override: FaberData | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -333,7 +330,7 @@ def main(argv: list[str] | None = None, *, _faber_override: FaberData | None = N
         if args.command == "tables":
             return _cmd_tables(args)
         if args.command == "verify":
-            return _cmd_verify(args, _faber_override)
+            return _cmd_verify(args)
     except (_UsageError, MonomialSyntaxError, UnsupportedMonomialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,27 +4,19 @@ Cones are described by primitive integer ray generators. Facet
 enumeration is deliberate brute force over generator subsets: the
 largest instance this package ever needs is twelve rays in Z^10
 (220 candidate subsets), far below the point where double-description
-style algorithms would pay off.
+style algorithms would pay off. Cones of every dimension take the same
+integer path: each candidate covector is the kernel line of a subset of
+generators stacked on an integer kernel basis of all of them, so no
+rational arithmetic is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import index
-from typing import Sequence
 
-from .exact import (
-    DimensionError,
-    gcd_content,
-    int_det,
-    kernel_line,
-    primitive_vector,
-    rank,
-    rref,
-)
+from .exact import DimensionError, gcd_content, int_det, kernel_basis, kernel_line, rank
 
 __all__ = [
     "Cone",
@@ -91,53 +83,33 @@ class Facet:
     incident: frozenset[int]
 
 
-def _rowspace_basis(gens: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    red, pivots = rref(gens)
-    return [red[i] for i in range(len(pivots))]
-
-
 def enumerate_facets(cone: Cone) -> list[Facet]:
     """All facets of a pointed cone of dimension at least two.
 
     Each candidate facet is cut out by a covector chosen inside the row
     space of the generators (so the answer does not depend on how the
-    span sits in the ambient lattice), found as the one-dimensional
-    kernel of a (dim-1)-subset of generators. One-sidedness over the
-    remaining generators filters genuine facets; a generator on which
-    every facet covector vanishes witnesses a line in the cone.
+    span sits in the ambient lattice). A covector lies in that row space
+    exactly when it vanishes on an integer basis of the generators'
+    kernel, so the candidate is the one-dimensional kernel of a
+    (dim-1)-subset of generators stacked on that basis, which is empty
+    for a full-dimensional cone. One-sidedness over the remaining
+    generators filters genuine facets; a generator on which every facet
+    covector vanishes witnesses a line in the cone.
     """
     gens = cone.generators
-    d = cone_dim(cone)
+    kernel = kernel_basis(gens, cone.ambient)
+    d = cone.ambient - len(kernel)
     if d <= 1:
         return []
-    m = len(gens)
-    full_dim = d == cone.ambient
-    basis = None if full_dim else _rowspace_basis(gens)
     found: dict[tuple[int, ...], frozenset[int]] = {}
-    for subset in combinations(range(m), d - 1):
-        if full_dim:
-            normal = kernel_line([gens[i] for i in subset], cone.ambient)
-        else:
-            constraint = [
-                [sum(Fraction(gens[i][k]) * b[k] for k in range(cone.ambient)) for b in basis]
-                for i in subset
-            ]
-            coeffs = kernel_line(constraint, d)
-            if coeffs is None:
-                normal = None
-            else:
-                vec = [
-                    sum(coeffs[j] * basis[j][k] for j in range(d))
-                    for k in range(cone.ambient)
-                ]
-                mult = lcm(*(x.denominator for x in vec))
-                normal = primitive_vector([int(x * mult) for x in vec])
+    for subset in combinations(range(len(gens)), d - 1):
+        normal = kernel_line([gens[i] for i in subset] + kernel, cone.ambient)
         if normal is None:
             continue
         values = [sum(a * b for a, b in zip(normal, g)) for g in gens]
+        # A nonzero covector in the row space is nonzero on some generator,
+        # so every candidate has a sign.
         if any(v > 0 for v in values) and any(v < 0 for v in values):
-            continue
-        if all(v == 0 for v in values):
             continue
         if any(v < 0 for v in values):
             normal = tuple(-x for x in normal)

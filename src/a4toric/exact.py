@@ -24,6 +24,7 @@ __all__ = [
     "int_det",
     "rank",
     "rref",
+    "kernel_basis",
     "kernel_line",
     "unimodular_inverse",
 ]
@@ -116,12 +117,16 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
 def _integer_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[int]]:
     """Copy of a rational matrix with each row scaled by the lcm of its
     denominators; scaling a row by a nonzero factor keeps the row space,
-    hence the rank and the kernel."""
+    hence the rank and the kernel. Entries must be rational; anything
+    else raises TypeError."""
     out = []
     for row in rows:
         if len(row) != ncols:
             raise DimensionError("ragged matrix")
-        mult = lcm(*(x.denominator for x in row))
+        try:
+            mult = lcm(*(x.denominator for x in row))
+        except AttributeError:
+            raise TypeError(f"matrix entries must be rational, got row {row!r}") from None
         out.append([int(x * mult) for x in row])
     return out
 
@@ -170,26 +175,34 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(_fraction_free_reduce(_integer_rows(rows, len(rows[0])))[0])
 
 
-def kernel_line(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[int, ...] | None:
-    """Primitive integer spanning vector of a one-dimensional kernel.
+def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer vectors spanning the kernel of a rational matrix.
 
-    Returns None unless the kernel of the matrix (acting on column
-    vectors of length `ncols`) has dimension exactly one. The sign makes
-    the coordinate of the non-pivot column positive.
+    The matrix acts on column vectors of length `ncols`. There is one
+    vector per non-pivot column, in increasing column order, with a
+    positive coordinate at that column and zero at the other non-pivot
+    columns; the list is empty when the kernel is zero.
     """
     mat = _integer_rows(rows, ncols)
     pivots, d = _fraction_free_reduce(mat)
-    if ncols - len(pivots) != 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    # The reduced form is mat / d, so the kernel is spanned by d at the
-    # free column and -mat[i][free] at the i-th pivot column.
+    # The reduced form is mat / d, so the kernel vector of a free column
+    # has d there and -mat[i][free] at the i-th pivot column.
     sign = 1 if d > 0 else -1
-    vec = [0] * ncols
-    vec[free] = d * sign
-    for i, c in enumerate(pivots):
-        vec[c] = -mat[i][free] * sign
-    return primitive_vector(vec)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = d * sign
+        for i, c in enumerate(pivots):
+            vec[c] = -mat[i][free] * sign
+        basis.append(primitive_vector(vec))
+    return basis
+
+
+def kernel_line(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[int, ...] | None:
+    """Primitive integer spanning vector of a one-dimensional kernel, or
+    None unless the kernel has dimension exactly one (see `kernel_basis`)."""
+    basis = kernel_basis(rows, ncols)
+    return basis[0] if len(basis) == 1 else None
 
 
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:

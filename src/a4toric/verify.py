@@ -18,7 +18,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .cones import Cone, Fan, enumerate_facets
-from .d4fan import StarFan, Stabilizer, build_star_fan, compute_stabilizer
+from .d4fan import StarFan, Stabilizer, build_star_fan
 from .exact import int_det, primitive_vector, rref
 from .intersection import IntersectionEngine
 from .proportionality import bernoulli, l_top
@@ -224,22 +224,10 @@ def _oracle_cones() -> list[Cone]:
     ]
 
 
-def run_all(
-    faber: FaberData | None = None,
-    star: StarFan | None = None,
-    stabilizer: Stabilizer | None = None,
-    engine: IntersectionEngine | None = None,
-) -> VerifyReport:
-    """Run the full check suite and return one result per criterion.
-
-    Prebuilt fan, stabilizer, and engine objects may be passed in to
-    reuse caches; `faber` substitutes the embedded recurrence constants
-    (the fault-injection hook used by the tests).
-    """
-    faber = faber if faber is not None else FaberData.default()
-    star = star if star is not None else build_star_fan()
-    stabilizer = stabilizer if stabilizer is not None else compute_stabilizer(star)
-    engine = engine if engine is not None else IntersectionEngine(star.fan, star.e_index)
+def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -> VerifyReport:
+    """Run the full check suite over a built fan, its stabilizer and an
+    engine on that fan, and return one result per criterion."""
+    faber = FaberData.default()
     checks: list[CheckResult] = []
 
     # 1. Closed-form top power of the weight-one class.
@@ -319,7 +307,8 @@ def run_all(
         )
     )
 
-    # 5. Stabilizer order and cone permutation.
+    # 5. Stabilizer order, counted as distinct matrices, and cone permutation.
+    order = stabilizer.order
     permutes = _permutes_facets(
         len(star.gammas), [f.incident for f in star.facets], stabilizer
     )
@@ -329,7 +318,7 @@ def run_all(
             "order of the automorphism group of the quartic form, every element "
             "permuting the top cones",
             f"{EXPECTED_STABILIZER_ORDER} (permutes cones)",
-            f"{stabilizer.order} ({'permutes cones' if permutes else 'does not permute cones'})",
+            f"{order} ({'permutes cones' if permutes else 'does not permute cones'})",
         )
     )
 
@@ -384,16 +373,24 @@ def run_all(
         )
     )
 
-    # 8. Second compactification table, both factors computed.
-    corner = Fraction(sol.e_top, stabilizer.order)
-    vor = voronoi_table(igusa, Fraction(sol.e_top), stabilizer.order)
-    column_ok = all(vor.a(k, 0) == igusa.a(k) for k in range(TOP_DEGREE + 1))
-    band_ok = all(
-        vor.a(k, l) == 0
-        for k in range(TOP_DEGREE + 1)
-        for l in range(1, min(TOP_DEGREE, TOP_DEGREE - k) + 1)
-        if (k, l) != (0, TOP_DEGREE)
-    )
+    # 8. Second compactification table, both factors computed. A group
+    # with no elements leaves the corner undefined, which fails the check.
+    actual = f"no corner: group order {order}"
+    if order:
+        corner = Fraction(sol.e_top, order)
+        vor = voronoi_table(igusa, Fraction(sol.e_top), order)
+        column_ok = all(vor.a(k, 0) == igusa.a(k) for k in range(TOP_DEGREE + 1))
+        band_ok = all(
+            vor.a(k, l) == 0
+            for k in range(TOP_DEGREE + 1)
+            for l in range(1, min(TOP_DEGREE, TOP_DEGREE - k) + 1)
+            if (k, l) != (0, TOP_DEGREE)
+        )
+        actual = (
+            f"corner {vor.a(0, TOP_DEGREE)} = {sol.e_top}/{order}, "
+            f"{'column match' if column_ok else 'column mismatch'}, "
+            f"{'zero band' if band_ok and corner == vor.a(0, TOP_DEGREE) else 'nonzero band'}"
+        )
     checks.append(
         _check(
             "second_table",
@@ -401,9 +398,7 @@ def run_all(
             "order; first column matches the first table; interior band vanishes",
             f"corner {EXPECTED_CORNER} = {EXPECTED_E_TOP}/{EXPECTED_STABILIZER_ORDER}, "
             "column match, zero band",
-            f"corner {vor.a(0, TOP_DEGREE)} = {sol.e_top}/{stabilizer.order}, "
-            f"{'column match' if column_ok else 'column mismatch'}, "
-            f"{'zero band' if band_ok and corner == vor.a(0, TOP_DEGREE) else 'nonzero band'}",
+            actual,
         )
     )
 

@@ -224,12 +224,13 @@ def test_verify_json(capsys):
     assert all(c["passed"] for c in res["checks"])
 
 
-def test_verify_fault_injection(capsys):
+def test_verify_fault_injection(capsys, monkeypatch):
     clean = FaberData.default()
     corrupted = FaberData(
         (clean.values[0] + 1,) + clean.values[1:]
     )
-    code = main(["verify", "--reproducible"], _faber_override=corrupted)
+    monkeypatch.setattr(FaberData, "default", classmethod(lambda cls: corrupted))
+    code = main(["verify", "--reproducible"])
     out = capsys.readouterr().out
     assert code == 1
     assert "[FAIL]" in out

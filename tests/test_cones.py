@@ -104,22 +104,30 @@ def test_facets_match_subset_scan_on_fixed_cones():
         assert direct == _facets_by_subset_scan(cone)
 
 
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3)),
-        min_size=2,
-        max_size=6,
-    )
-)
-def test_facets_match_subset_scan_on_random_pointed_cones(raw):
-    # A positive first coordinate keeps the cone pointed.
+@st.composite
+def pointed_cones(draw):
+    """Cones in Z^3, or in a rank-2 or rank-3 sublattice of Z^4: integer
+    combinations of the rows of [I | M], columns shuffled. A positive
+    first coefficient keeps the cone pointed."""
+    ambient, r = draw(st.sampled_from(((3, 3), (4, 2), (4, 3))))
+    entry = st.integers(-3, 3)
+    rows = [[int(i == j) for j in range(r)] + [draw(entry) for _ in range(ambient - r)] for i in range(r)]
+    cols = draw(st.permutations(range(ambient)))
+    basis = [[row[c] for c in cols] for row in rows]
+    coeffs = draw(st.lists(st.tuples(st.integers(1, 3), *[entry] * (r - 1)), min_size=2, max_size=6))
     gens = []
-    for v in raw:
-        p = primitive_vector(v)
+    for cs in coeffs:
+        p = primitive_vector([sum(c * b[k] for c, b in zip(cs, basis)) for k in range(ambient)])
         if p not in gens:
             gens.append(p)
+    return ambient, gens
+
+
+@given(pointed_cones())
+def test_facets_match_subset_scan_on_random_pointed_cones(case):
+    ambient, gens = case
     assume(len(gens) >= 2)
-    cone = Cone(3, tuple(gens))
+    cone = Cone(ambient, tuple(gens))
     assume(cone_dim(cone) >= 2)
     direct = frozenset((f.normal, f.incident) for f in enumerate_facets(cone))
     assert direct == _facets_by_subset_scan(cone)

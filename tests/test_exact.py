@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from a4toric.cones import Cone, enumerate_facets
 from a4toric.exact import (
     DimensionError,
     gcd_content,
     int_det,
+    kernel_basis,
     kernel_line,
     primitive_vector,
     rank,
@@ -120,6 +122,23 @@ def test_kernel_line():
     assert kernel_line([[Fraction(1, 2), Fraction(1, 3)]], 2) == (-2, 3)
 
 
+@pytest.mark.parametrize("entry", [1.5, 2.0, "1"], ids=["float", "integral_float", "string"])
+@pytest.mark.parametrize(
+    "call, rational_value",
+    [
+        (lambda rows: rank(rows), 1),
+        (lambda rows: kernel_line(rows, 2), (-2, 1)),
+        (lambda rows: kernel_basis(rows, 2), [(-2, 1)]),
+    ],
+    ids=["rank", "kernel_line", "kernel_basis"],
+)
+def test_integer_rows_reject_non_rational_entries(call, rational_value, entry):
+    with pytest.raises(TypeError):
+        call([[1, 2], [entry, 2]])
+    # Rational input stays accepted.
+    assert call([[1, 2], [Fraction(1, 2), 1]]) == rational_value
+
+
 def test_unimodular_inverse():
     assert unimodular_inverse([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
     inv = unimodular_inverse([[1, 1], [0, 1]])
@@ -153,18 +172,24 @@ def fraction_inverse(mat):
     return [row[n:] for row in red[:n]]
 
 
-def fraction_kernel_line(rows, ncols):
-    """Reference kernel line from the rational RREF, free coordinate positive."""
+def fraction_kernel_basis(rows, ncols):
+    """Reference kernel basis from the rational RREF: one primitive vector
+    per free column, positive there."""
     red, pivots = rref(rows) if rows else ([], [])
-    if ncols - len(pivots) != 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        vec[c] = -red[r][free]
-    mult = lcm(*(x.denominator for x in vec))
-    return primitive_vector([int(x * mult) for x in vec])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(int(c == free)) for c in range(ncols)]
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][free]
+        mult = lcm(*(x.denominator for x in vec))
+        basis.append(primitive_vector([int(x * mult) for x in vec]))
+    return basis
+
+
+def fraction_kernel_line(rows, ncols):
+    """Reference kernel line: the one-vector case of the reference basis."""
+    basis = fraction_kernel_basis(rows, ncols)
+    return basis[0] if len(basis) == 1 else None
 
 
 @st.composite
@@ -221,6 +246,9 @@ def test_kernel_line_matches_fraction_rref(case):
     assert line == fraction_kernel_line(rows, ncols)
     if line is not None:
         assert all(sum(a * b for a, b in zip(row, line)) == 0 for row in rows)
+    basis = kernel_basis(rows, ncols)
+    assert basis == fraction_kernel_basis(rows, ncols)
+    assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows for vec in basis)
 
 
 @given(kernel_cases(), st.lists(rationals.filter(bool), min_size=6, max_size=6))
@@ -253,3 +281,6 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
     assert unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert kernel_line([[1, 2, 3], [4, 5, 6]], 3) == (1, -2, 1)
     assert rank([[1, 2, 3], [2, 4, 6]]) == 1
+    assert kernel_basis([[1, 2, 3]], 3) == [(-2, 1, 0), (-3, 0, 1)]
+    facets = enumerate_facets(Cone(3, ((1, 0, 0), (1, 2, 0))))
+    assert {f.normal for f in facets} == {(0, 1, 0), (2, -1, 0)}

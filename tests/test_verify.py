@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import re
 
+import pytest
+
 from a4toric.d4fan import Stabilizer
 from a4toric.intersection import IntersectionEngine
 from a4toric.verify import _permutes_facets, run_all
@@ -22,11 +24,29 @@ def test_stabilizer_check_fails_on_a_non_bijection(star, stabilizer, engine):
     # of rays, but the map is not a permutation.
     collapsed = (0, 0) + first.ray_permutation[2:]
     elements = (dataclasses.replace(first, ray_permutation=collapsed),) + stabilizer.elements[1:]
-    broken = Stabilizer(stabilizer.order, elements)
+    broken = Stabilizer(elements)
     report = run_all(star=star, stabilizer=broken, engine=engine)
     check = _check(report, "stabilizer")
     assert not check.passed
     assert check.actual == "1152 (does not permute cones)"
+
+
+@pytest.mark.parametrize(
+    ("elements", "actual"),
+    [
+        (lambda els: (), "0 (permutes cones)"),
+        (lambda els: (els[0],) * len(els), "1 (permutes cones)"),
+    ],
+    ids=["empty", "one_element_repeated"],
+)
+def test_stabilizer_check_counts_distinct_matrices(star, stabilizer, engine, elements, actual):
+    broken = Stabilizer(elements(stabilizer.elements))
+    report = run_all(star, broken, engine)
+    check = _check(report, "stabilizer")
+    assert not check.passed
+    assert check.actual == actual
+    assert not _check(report, "second_table").passed
+    assert _check(report, "exceptional_top_power").passed
 
 
 def test_stabilizer_check_fails_on_ragged_or_stray_facets(star, stabilizer):
