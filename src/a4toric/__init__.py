@@ -8,7 +8,8 @@ The package computes, in exact rational arithmetic throughout:
 * the boundary intersection table of the first compactification via a
   downward recurrence (`tables`),
 * the star fan of the exceptional ray of the second compactification,
-  built from the minimal vectors of the quartic root form (`d4fan`),
+  built from the norm-2 vectors of an even form, the D4 root form by
+  default (`d4fan`),
 * the top self-intersection of the exceptional divisor by two
   independent toric engines (`intersection`), and
 * the second table, whose corner entry is the toric count divided by
@@ -23,11 +24,9 @@ from .d4fan import (
     LatticeAutomorphism,
     Stabilizer,
     StarFan,
-    SymMatrix,
-    build_d4_form,
     build_star_fan,
     compute_stabilizer,
-    minimal_vectors,
+    short_vectors,
 )
 from .intersection import (
     IntersectionEngine,
@@ -63,11 +62,9 @@ __all__ = [
     "LatticeAutomorphism",
     "Stabilizer",
     "StarFan",
-    "SymMatrix",
-    "build_d4_form",
     "build_star_fan",
     "compute_stabilizer",
-    "minimal_vectors",
+    "short_vectors",
     "IntersectionEngine",
     "LinearSystem",
     "SystemSolution",

@@ -76,15 +76,12 @@ def _cmd_fan_report(args: argparse.Namespace) -> int:
         int_det([star.fan.rays[i] for i in sorted(c)]) for c in star.fan.top_cones
     ]
     results = {
-        "ray_count": len(star.gammas),
+        "ray_count": len(star.ray_vectors),
         "rays": [
-            {"index": i + 1, "vector": list(v), "coordinates": list(g.coords)}
-            for i, (v, g) in enumerate(zip(star.ray_vectors, star.gammas))
+            {"index": i + 1, "vector": list(v), "coordinates": list(g)}
+            for i, (v, g) in enumerate(zip(star.ray_vectors, star.fan.rays[1:]))
         ],
-        "exceptional_ray": {
-            "coordinates": list(star.eta.coords),
-            "content": star.eta_content,
-        },
+        "exceptional_ray": {"coordinates": list(star.eta), "content": star.eta_content},
         "facet_count": len(star.facets),
         "facets": [
             {"index": fi + 1, "rays": [i + 1 for i in sorted(f.incident)]}

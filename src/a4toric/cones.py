@@ -84,7 +84,7 @@ class Facet:
 
 
 def enumerate_facets(cone: Cone) -> list[Facet]:
-    """All facets of a pointed cone of dimension at least two.
+    """All facets of a pointed cone; a ray has none.
 
     Each candidate facet is cut out by a covector chosen inside the row
     space of the generators (so the answer does not depend on how the
@@ -100,6 +100,9 @@ def enumerate_facets(cone: Cone) -> list[Facet]:
     kernel = kernel_basis(gens, cone.ambient)
     d = cone.ambient - len(kernel)
     if d <= 1:
+        # Distinct primitive generators of a line are g and -g.
+        if len(gens) > 1:
+            raise DegenerateConeError(f"generators {gens} span a line; the cone is not pointed")
         return []
     found: dict[tuple[int, ...], frozenset[int]] = {}
     for subset in combinations(range(len(gens)), d - 1):

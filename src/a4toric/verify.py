@@ -282,7 +282,7 @@ def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -
 
     # 4. Fan combinatorics.
     fan_ok = (
-        len(star.gammas) == EXPECTED_RAY_COUNT
+        len(star.ray_vectors) == EXPECTED_RAY_COUNT
         and len(star.facets) == EXPECTED_FACET_COUNT
         and all(len(f.incident) == 9 for f in star.facets)
         and len(star.fan.top_cones) == EXPECTED_FACET_COUNT
@@ -299,7 +299,7 @@ def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -
             f"rays {EXPECTED_RAY_COUNT}, facets {EXPECTED_FACET_COUNT} (9 rays each), "
             f"cones {EXPECTED_FACET_COUNT} (all |det| 1)",
             (
-                f"rays {len(star.gammas)}, facets {len(star.facets)} "
+                f"rays {len(star.ray_vectors)}, facets {len(star.facets)} "
                 f"({'9 rays each' if all(len(f.incident) == 9 for f in star.facets) else 'ragged'}), "
                 f"cones {len(star.fan.top_cones)} "
                 f"({'all |det| 1' if fan_ok else 'non-basic cone present'})"
@@ -310,7 +310,7 @@ def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -
     # 5. Stabilizer order, counted as distinct matrices, and cone permutation.
     order = stabilizer.order
     permutes = _permutes_facets(
-        len(star.gammas), [f.incident for f in star.facets], stabilizer
+        len(star.ray_vectors), [f.incident for f in star.facets], stabilizer
     )
     checks.append(
         _check(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +43,25 @@ def run_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+@pytest.fixture(scope="session")
+def passing_output():
+    """Standard output of an in-process run that must exit 0, memoized
+    per argv, for tests that only read a passing command's output."""
+    memo: dict[tuple[str, ...], str] = {}
+
+    def run(argv):
+        key = tuple(argv)
+        if key not in memo:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))
+            assert code == 0, err.getvalue()
+            memo[key] = out.getvalue()
+        return memo[key]
+
+    return run
 
 
 def as_fraction(rat):
@@ -193,17 +214,20 @@ def test_tables_voronoi_geometric(capsys):
     assert entries[(0, 10, 0)] == Fraction(-2100560383, 1440)
 
 
-def test_verify_text(capsys):
-    code, out, err = run_cli(capsys, ["verify", "--reproducible"])
-    assert code == 0
+VERIFY_TEXT = ["verify", "--format", "text", "--reproducible"]
+VERIFY_JSON = ["verify", "--format", "json", "--reproducible"]
+
+
+def test_verify_text(passing_output):
+    out = passing_output(VERIFY_TEXT)
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert len(lines) == 10
     assert all(l.startswith("[PASS]") for l in lines)
     assert "10 checks: 10 passed, 0 failed" in out
 
 
-def test_verify_json(capsys):
-    doc = run_json(capsys, ["verify", "--json", "--reproducible"])
+def test_verify_json(passing_output):
+    doc = json.loads(passing_output(VERIFY_JSON))
     res = doc["results"]
     assert res["all_passed"] is True
     assert res["passed_count"] == 10
@@ -259,22 +283,19 @@ def test_corrupted_shared_inverse_fails_verify(capsys, monkeypatch, star, stabil
 @pytest.mark.parametrize(
     ("argv", "golden"),
     [
-        (["verify", "--json", "--reproducible"], "verify.json"),
+        (VERIFY_JSON, "verify.json"),
         (["fan", "report", "--format", "json", "--reproducible"], "fan_report.json"),
     ],
 )
-def test_reproducible_output_matches_golden_file(capsys, argv, golden):
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0, err
+def test_reproducible_output_matches_golden_file(passing_output, argv, golden):
+    out = passing_output(argv)
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_every_command_matches_its_golden_output(capsys, name, fmt):
-    argv = GOLDEN_COMMANDS[name] + ["--format", fmt, "--reproducible"]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0, err
+def test_every_command_matches_its_golden_output(passing_output, name, fmt):
+    out = passing_output(GOLDEN_COMMANDS[name] + ["--format", fmt, "--reproducible"])
     suffix = "txt" if fmt == "text" else "json"
     assert out.encode("utf-8") == (CLI_GOLDEN / f"{name}.{suffix}").read_bytes()
 

@@ -79,6 +79,10 @@ def test_degenerate_cones_rejected():
         enumerate_facets(Cone(2, ((1, 0), (-1, 0), (0, 1))))
     with pytest.raises(DegenerateConeError):
         enumerate_facets(Cone(2, ((1, 0), (-1, 0), (0, 1), (0, -1))))
+    with pytest.raises(DegenerateConeError):
+        enumerate_facets(Cone(2, ((1, 0), (-1, 0))))
+    with pytest.raises(DegenerateConeError):
+        enumerate_facets(Cone(3, ((1, 2, 0), (-1, -2, 0))))
 
 
 def test_facets_invariant_under_generator_permutation():

@@ -2,23 +2,23 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a4toric.cones import Cone, Fan, cone_dim
 from a4toric.d4fan import (
-    COORD_PAIRS,
-    D4_BASIS,
+    D4_GRAM,
     FanConstructionError,
     StabilizerError,
-    SymMatrix,
     _canon,
-    build_d4_form,
     build_star_fan,
     compute_stabilizer,
-    minimal_vectors,
+    short_vectors,
 )
 from a4toric.exact import gcd_content, int_det
 from a4toric.intersection import IntersectionEngine
@@ -30,83 +30,141 @@ EXPECTED_GRAM = (
     (0, -1, 0, 2),
 )
 EXPECTED_ETA = (2, 4, 2, 2, 2, 1, 1, 2, 2, 1)
+# Columns f1 = e1-e2, f2 = e2-e3, f3 = e3-e4, f4 = e3+e4 of the D4 root
+# lattice in the standard basis.
+D4_BASIS = (
+    (1, 0, 0, 0),
+    (-1, 1, 0, 0),
+    (0, -1, 1, 1),
+    (0, 0, -1, 1),
+)
 
 
 def _norm(q, c):
-    return sum(c[i] * q[i][j] * c[j] for i in range(4) for j in range(4))
+    n = len(q)
+    return sum(c[i] * q[i][j] * c[j] for i in range(n) for j in range(n))
 
 
-def test_d4_form():
-    q = build_d4_form()
-    assert q == EXPECTED_GRAM
-    assert int_det(q) == 4
-    assert all(q[i][j] == q[j][i] for i in range(4) for j in range(4))
-    # Each basis column has squared length 2 in the standard metric,
-    # which is the diagonal of the Gram matrix.
-    assert all(sum(x * x for x in col) == 2 for col in zip(*D4_BASIS))
-    assert all(q[j][j] == 2 for j in range(4))
-    assert all(_norm(q, tuple(int(i == j) for i in range(4))) == 2 for j in range(4))
+def _moved(u, q=EXPECTED_GRAM):
+    """The Gram matrix U^T Q U of the basis given by the columns of U."""
+    n = len(q)
+    return tuple(
+        tuple(
+            sum(u[k][i] * q[k][l] * u[l][j] for k in range(n) for l in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _cartan_a(n):
+    return tuple(
+        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_d4_form(star):
+    assert D4_GRAM == EXPECTED_GRAM
+    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert _moved(D4_BASIS, identity) == D4_GRAM
+    assert int_det(D4_GRAM) == 4
+    assert star.gram == D4_GRAM
+
+
+def _box_scan(q, norm, radius):
+    return tuple(
+        c for c in itertools.product(range(-radius, radius + 1), repeat=len(q)) if _norm(q, c) == norm
+    )
 
 
 def test_minimal_vectors():
-    q = build_d4_form()
-    vecs = minimal_vectors()
+    vecs = short_vectors(D4_GRAM, 2)
     assert len(vecs) == 24
     assert len(set(vecs)) == 24
-    assert all(_norm(q, c) == 2 for c in vecs)
+    assert all(_norm(D4_GRAM, c) == 2 for c in vecs)
     assert all(tuple(-x for x in c) in set(vecs) for c in vecs)
     assert all(gcd_content(c) == 1 for c in vecs)
     assert list(vecs) == sorted(vecs)
 
 
+@pytest.mark.parametrize(
+    ("q", "norm", "count"),
+    [
+        (EXPECTED_GRAM, 2, 24),
+        (EXPECTED_GRAM, 4, 24),
+        (EXPECTED_GRAM, 6, 96),
+        (_moved(((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))), 2, 24),
+        (_moved(((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))), 2, 24),
+        (_cartan_a(2), 2, 6),
+        (_cartan_a(3), 2, 12),
+        (_cartan_a(3), 3, 0),
+        (((1, 0), (0, 1)), 1, 4),
+        (((1, 0), (0, 1)), 25, 12),
+    ],
+)
+def test_short_vectors_match_a_box_scan(q, norm, count):
+    # The counts are known (D4: 24, 24, 96 up to norm 6), and every vector
+    # found lies in the scanned box.
+    vecs = short_vectors(q, norm)
+    assert len(vecs) == count
+    assert vecs == _box_scan(q, norm, 5)
+
+
 def test_minimal_vectors_rejects_scaled_gram():
+    # An even form with no vector of norm 2 gives no rays.
     doubled = tuple(tuple(2 * x for x in row) for row in EXPECTED_GRAM)
-    with pytest.raises(FanConstructionError):
-        minimal_vectors(doubled)
+    assert short_vectors(doubled, 2) == ()
+    with pytest.raises(FanConstructionError, match="do not span"):
+        build_star_fan(doubled)
 
 
-def test_sym_matrix_examples():
-    basis_vec = SymMatrix.from_vector((1, 0, 0, 0))
-    assert basis_vec.coords == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    longest = SymMatrix.from_vector((1, 2, 1, 1))
-    assert longest.coords == (1, 4, 1, 1, 2, 1, 1, 2, 2, 1)
-    assert SymMatrix.from_coords(longest.coords) == longest
-    assert len(COORD_PAIRS) == 10
+@pytest.mark.parametrize(
+    "gram",
+    [
+        pytest.param(((2, -1), (-1, 2), (0, 0)), id="non-square"),
+        pytest.param((), id="empty"),
+        pytest.param(((2, -1), (0, 2)), id="non-symmetric"),
+        pytest.param(((2, 3), (3, 2)), id="indefinite"),
+        pytest.param(((-2, 0), (0, -2)), id="negative-definite"),
+        pytest.param(((2, 2), (2, 2)), id="semidefinite"),
+        pytest.param(((1, 0), (0, 1)), id="odd"),
+    ],
+)
+def test_gram_boundary_rejects_invalid_forms(gram):
     with pytest.raises(ValueError):
-        SymMatrix(((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        SymMatrix.from_coords((1, 2, 3))
+        build_star_fan(gram)
 
 
 def test_rays(star):
-    rays = star.gammas
-    assert len(rays) == 12
-    coords = [g.coords for g in rays]
+    coords = star.fan.rays[1:]
+    assert len(coords) == 12
     assert len(set(coords)) == 12
     assert all(gcd_content(c) == 1 for c in coords)
     assert cone_dim(Cone(10, tuple(coords))) == 10
+    # Ray 1+i is c c^T for c = ray_vectors[i], flattened diagonal first.
+    for c, g in zip(star.ray_vectors, coords):
+        assert g[:4] == tuple(x * x for x in c)
+        assert g[4:] == tuple(c[i] * c[j] for i in range(4) for j in range(i + 1, 4))
 
 
 def test_eta(star):
-    rays = star.gammas
-    eta = star.eta
-    assert eta.coords == EXPECTED_ETA
-    total = [sum(g.coords[k] for g in rays) for k in range(10)]
+    assert star.eta == EXPECTED_ETA
+    total = [sum(g[k] for g in star.fan.rays[1:]) for k in range(10)]
     assert gcd_content(total) == 3
     assert tuple(x // 3 for x in total) == EXPECTED_ETA
 
 
 def test_star_fan_structure(star):
     assert star.gram == EXPECTED_GRAM
-    assert star.eta.coords == EXPECTED_ETA
+    assert star.eta == EXPECTED_ETA
     assert star.eta_content == 3
     assert star.e_index == 0
-    assert len(star.gammas) == 12
+    assert len(star.ray_vectors) == 12
     assert len(star.facets) == 64
     assert all(len(f.incident) == 9 for f in star.facets)
     assert len(star.fan.rays) == 13
     assert star.fan.rays[0] == EXPECTED_ETA
-    assert star.fan.rays[1:] == tuple(g.coords for g in star.gammas)
     assert len(star.fan.top_cones) == 64
     # Bijection between facets and cones: each cone is the barycenter
     # plus the facet's rays shifted by one.
@@ -183,43 +241,75 @@ def test_stabilizer_is_transitive_on_rays(stabilizer):
     ],
 )
 def test_change_of_basis_invariance(u):
-    moved = build_star_fan(change_of_basis=u)
-    assert len(moved.gammas) == 12
+    moved = build_star_fan(_moved(u))
+    assert len(moved.ray_vectors) == 12
     assert len(moved.facets) == 64
     assert len(moved.fan.top_cones) == 64
     assert moved.eta_content == 3
-    assert moved.gram == build_d4_form(change_of_basis=u)
+    assert moved.gram == _moved(u)
     top = tuple(10 if i == 0 else 0 for i in range(13))
     assert IntersectionEngine(moved.fan, moved.e_index).evaluate(top) == -1680
 
 
 def test_change_of_basis_stabilizer_order():
     u = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    moved = build_star_fan(change_of_basis=u)
+    moved = build_star_fan(_moved(u))
     assert compute_stabilizer(moved).order == 1152
 
 
-def test_change_of_basis_rejects_non_unimodular():
-    bad = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        build_star_fan(change_of_basis=bad)
-    with pytest.raises(ValueError):
-        build_d4_form(change_of_basis=bad)
-
-
-def test_stabilizer_rejects_basis_with_a_non_minimal_vector():
-    # A valid unimodular change of basis whose first vector has norm 4:
-    # the fan builds, but the search maps basis vectors to norm-2 vectors
-    # only, so it must refuse rather than report an empty group.
+def test_stabilizer_of_basis_with_a_non_minimal_vector():
+    # A unimodular change of basis whose first vector has norm 4: the
+    # search sends it to the 24 vectors of norm 4.
     u = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))
-    moved = build_star_fan(change_of_basis=u)
+    moved = build_star_fan(_moved(u))
     assert len(moved.fan.top_cones) == 64
     assert moved.gram[0][0] == 4
-    with pytest.raises(StabilizerError, match="basis vector 1 has norm 4"):
-        compute_stabilizer(moved)
+    assert compute_stabilizer(moved).order == 1152
 
 
-IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+@st.composite
+def unimodular_matrices(draw):
+    """Products of at most three elementary 4x4 matrices: adding +-1
+    times one column to another, swapping two columns, or negating one."""
+    u = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("add", "swap", "negate")))
+        i, j = draw(st.permutations(range(4)))[:2]
+        sign = draw(st.sampled_from((-1, 1)))
+        for row in u:
+            if kind == "add":
+                row[i] += sign * row[j]
+            elif kind == "swap":
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[i] = -row[i]
+    return tuple(map(tuple, u))
+
+
+@settings(max_examples=10)
+@given(unimodular_matrices())
+def test_any_unimodular_basis_builds_the_d4_fan_and_group(u):
+    assert abs(int_det(u)) == 1
+    moved = build_star_fan(_moved(u))
+    assert len(moved.ray_vectors) == 12
+    assert len(moved.facets) == 64
+    assert compute_stabilizer(moved).order == 1152
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_n_star_fan_is_the_blow_up_of_a_point(n):
+    # The norm-2 vectors of A_n are the roots e_i - e_j of A_n, N = n(n+1)/2 pairs
+    # whose rank-one matrices are a basis: the cone is simplicial, its
+    # star fan is affine N-space blown up at the origin, and E^N = (-1)^(N-1).
+    dim = n * (n + 1) // 2
+    star = build_star_fan(_cartan_a(n))
+    assert len(star.ray_vectors) == dim
+    assert len(star.facets) == dim
+    assert all(len(f.incident) == dim - 1 for f in star.facets)
+    assert compute_stabilizer(star).order == 2 * math.factorial(n + 1)
+    engine = IntersectionEngine(star.fan, star.e_index)
+    top = (dim,) + (0,) * dim
+    assert engine.evaluate(top) == engine.e_top == (-1) ** (dim - 1)
 
 
 def _with_entry(matrix, i, j, x):
@@ -232,12 +322,13 @@ def _with_entry(matrix, i, j, x):
 # Each boundary fed a non-integer that int() would truncate to valid
 # input: 3/2 -> 1 and -3/2 -> -1.
 BOUNDARIES = {
-    "build_star_fan": lambda x: build_star_fan(change_of_basis=_with_entry(IDENTITY, 0, 0, x)),
-    "build_d4_form": lambda x: build_d4_form(change_of_basis=_with_entry(IDENTITY, 0, 0, x)),
-    "minimal_vectors": lambda x: minimal_vectors(
+    "build_star_fan": lambda x: build_star_fan(
         _with_entry(_with_entry(EXPECTED_GRAM, 0, 1, -x), 1, 0, -x)
     ),
-    "SymMatrix": lambda x: SymMatrix(_with_entry(IDENTITY, 0, 0, x)),
+    "short_vectors": lambda x: short_vectors(
+        _with_entry(_with_entry(EXPECTED_GRAM, 0, 1, -x), 1, 0, -x), 2
+    ),
+    "short_vectors_norm": lambda x: short_vectors(EXPECTED_GRAM, x + 1),
     "Cone": lambda x: Cone(2, ((x, 0), (0, 1))),
     "Fan": lambda x: Fan(((x, 0), (0, 1)), (frozenset({0, 1}),)),
 }
@@ -258,33 +349,35 @@ def test_canon():
 
 
 def _scan_form_automorphisms(star):
-    """The stabilizer search as a plain four-deep scan: every column runs
-    over all minimal vectors, filtered by the Gram conditions."""
+    """The stabilizer search as a plain column-by-column scan: column i
+    runs over every vector of norm Q_ii in a fixed box, filtered by its
+    inner products with the columns already chosen."""
     q = star.gram
-    vecs = sorted(set(star.ray_vectors) | {tuple(-x for x in v) for v in star.ray_vectors})
+    n = len(q)
+    by_norm = {x: _box_scan(q, x, 3) for x in {q[i][i] for i in range(n)}}
+    candidates = [by_norm[q[i][i]] for i in range(n)]
 
     def ip(v, w):
-        return sum(v[i] * q[i][j] * w[j] for i in range(4) for j in range(4))
+        return sum(v[i] * q[i][j] * w[j] for i in range(n) for j in range(n))
 
     rep_index = {v: i for i, v in enumerate(star.ray_vectors)}
     found = []
-    for v1 in vecs:
-        for v2 in vecs:
-            if ip(v1, v2) != q[0][1]:
-                continue
-            for v3 in vecs:
-                if ip(v1, v3) != q[0][2] or ip(v2, v3) != q[1][2]:
-                    continue
-                for v4 in vecs:
-                    if ip(v1, v4) != q[0][3] or ip(v2, v4) != q[1][3] or ip(v3, v4) != q[2][3]:
-                        continue
-                    cols = (v1, v2, v3, v4)
-                    mat = tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-                    perm = tuple(
-                        rep_index[_canon(tuple(sum(mat[i][j] * v[j] for j in range(4)) for i in range(4)))]
-                        for v in star.ray_vectors
-                    )
-                    found.append((mat, perm))
+
+    def extend(cols):
+        i = len(cols)
+        if i == n:
+            mat = tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
+            perm = tuple(
+                rep_index[_canon(tuple(sum(mat[k][j] * v[j] for j in range(n)) for k in range(n)))]
+                for v in star.ray_vectors
+            )
+            found.append((mat, perm))
+            return
+        for v in candidates[i]:
+            if all(ip(cols[k], v) == q[k][i] for k in range(i)):
+                extend(cols + [v])
+
+    extend([])
     return found
 
 
@@ -294,10 +387,10 @@ def test_stabilizer_matches_four_deep_scan(star, stabilizer):
 
 
 def test_stabilizer_matches_four_deep_scan_in_another_basis():
-    # Every basis vector is minimal (columns e2, e1 + e2, e3, -e4), as the
-    # search requires; the Gram matrix differs from the shipped one.
-    u = ((0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
-    moved = build_star_fan(change_of_basis=u)
+    # Columns e2, e1 + e2, e1 + e3, -e4: the third has norm 4, and the
+    # Gram matrix differs from the shipped one.
+    u = ((0, 1, 1, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
+    moved = build_star_fan(_moved(u))
     assert moved.gram != EXPECTED_GRAM
     got = compute_stabilizer(moved)
     assert got.order == 1152
@@ -305,7 +398,7 @@ def test_stabilizer_matches_four_deep_scan_in_another_basis():
 
 
 def test_stabilizer_rejects_moved_barycenter(star):
-    bad = dataclasses.replace(star, eta=SymMatrix.from_vector((1, 0, 0, 0)))
+    bad = dataclasses.replace(star, eta=(1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(StabilizerError, match="moves the barycenter"):
         compute_stabilizer(bad)
 
@@ -324,9 +417,9 @@ def test_stabilizer_rejects_facet_set_it_does_not_permute(star):
 
 
 def test_stabilizer_rejects_ray_map_that_is_not_a_bijection(star):
-    # Listing ray 0 twice (in place of ray 5) lets a form automorphism
-    # send two listed rays to the same ray.
+    # Listing ray 0 twice (in place of ray 5) leaves no listed ray for a
+    # form automorphism to send onto ray 5.
     rv = star.ray_vectors
     bad = dataclasses.replace(star, ray_vectors=rv[:5] + (rv[0],) + rv[6:])
-    with pytest.raises(StabilizerError, match="not a bijection"):
+    with pytest.raises(StabilizerError, match="does not map the rays bijectively"):
         compute_stabilizer(bad)
