@@ -154,6 +154,8 @@ def build_star_fan(gram: Sequence[Sequence[int]] | None = None) -> StarFan:
             f"the {len(rays)} rays of the norm-2 vectors do not span all {ambient} "
             "coordinates of the symmetric matrices"
         )
+    if len(rays) == 1:
+        raise FanConstructionError("the cone of the one norm-2 ray has no interior to subdivide")
     total = [sum(col) for col in zip(*rays)]
     eta = primitive_vector(total)
     facets = tuple(enumerate_facets(Cone(ambient, rays)))

@@ -8,9 +8,11 @@ divisors. Two independent engines compute these values:
   ambient coordinate, with coefficients the ray coordinates) is
   multiplied by every admissible degree n-1 monomial with positive
   exceptional exponent and square-free divisor part;
-  each multiplier yields one block of rows that an exact structured
-  elimination solves top-down, because the block's unknown columns sit
-  inside the unimodular basis of a containing cone;
+  each multiplier yields one block of rows, solved top-down in the
+  unimodular ray basis of a containing cone: each unknown is a sum over
+  the few rays outside that cone of their integer coordinates in the
+  basis, and the cone's rays outside the support give the consistency
+  equations;
 
 * a recursive evaluator: a repeated divisor factor is rewritten through
   the support covector of a containing basic cone (a row of the cone
@@ -19,7 +21,10 @@ divisors. Two independent engines compute these values:
   remain, which are 1 on the ray set of a top cone and 0 otherwise.
 
 Both engines return exact integers; the fan's cones being basic makes
-every intermediate covector integral.
+every intermediate covector integral. The linear system keys each
+monomial by one packed int (`MonomialKeys`) and each support by a ray
+bitmask, and decodes to exponent tuples only at its public boundary;
+the recursive evaluator keys its memo by exponent tuple.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .cones import Fan
 from .exact import unimodular_inverse
@@ -43,6 +49,7 @@ __all__ = [
     "InconsistentSystemError",
     "parse_monomial",
     "format_monomial",
+    "MonomialKeys",
     "LinearRelation",
     "build_relations",
     "LinearSystem",
@@ -110,24 +117,25 @@ def format_monomial(mono: Sequence[int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _support(mono: Sequence[int]) -> frozenset[int]:
-    return frozenset(i for i, e in enumerate(mono) if e > 0)
+class MonomialKeys:
+    """Packed-integer keys of the monomials over one fan: ray r's
+    exponent is the field of w = ambient.bit_length() bits at offset
+    w*(R-1-r), R the ray count, so every exponent up to the ambient
+    dimension fits, keys sort as exponent tuples do (ray 0 is the most
+    significant field) and bumping ray r adds `ones[r]`."""
 
+    def __init__(self, n_rays: int, ambient: int):
+        w = ambient.bit_length()
+        self.shifts = tuple(w * (n_rays - 1 - r) for r in range(n_rays))
+        self.ones = tuple(1 << s for s in self.shifts)
+        self.field = (1 << w) - 1
 
-def _is_squarefree(mono: Sequence[int]) -> bool:
-    return all(e <= 1 for e in mono)
+    def pack(self, mono: Sequence[int]) -> int:
+        """Key of one exponent per ray, each from 0 to the ambient dimension."""
+        return sum(map(operator.lshift, mono, self.shifts))
 
-
-def _bump(mono: Monomial, index: int) -> Monomial:
-    return mono[:index] + (mono[index] + 1,) + mono[index + 1 :]
-
-
-def _mask(rays: Iterable[int]) -> int:
-    """Bitmask with bit r set for each ray index r."""
-    mask = 0
-    for r in rays:
-        mask |= 1 << r
-    return mask
+    def unpack(self, key: int) -> Monomial:
+        return tuple(key >> s & self.field for s in self.shifts)
 
 
 @dataclass(frozen=True)
@@ -150,53 +158,42 @@ def build_relations(fan: Fan) -> tuple[LinearRelation, ...]:
 
 @dataclass
 class LinearSystem:
-    """The assembled block system.
+    """The assembled block system, keyed by packed monomials.
 
-    Unknown columns are exactly the degree-n monomials that actually
-    occur in some row and are neither square-free (those are 0/1
-    constants) nor supported outside every cone (those vanish). They
-    come in two shapes per admissible support: the pure power form with
-    exceptional exponent >= 2, and the forms with a single squared
-    divisor factor.
+    `admissible` holds the bitmasks of the ray sets S, E's bit left out,
+    that lie in a top cone with E; `blocks` one (multiplier key, S) per
+    multiplier, by the size of S and then its rays in increasing order;
+    `columns` each unknown's key and column, in key order. The unknowns
+    are the degree-n monomials that occur in some row and are neither
+    square-free (0/1 constants) nor supported outside every cone (0):
+    per admissible support, the pure power with exceptional exponent
+    >= 2 and the forms with a single squared divisor factor.
     """
 
     fan: Fan
     e_index: int
     relations: tuple[LinearRelation, ...]
-    multipliers: tuple[Monomial, ...]
-    unknown_index: dict[Monomial, int]
-    admissible: frozenset[frozenset[int]]
+    keys: MonomialKeys
+    blocks: tuple[tuple[int, int], ...]
+    columns: dict[int, int]
+    admissible: frozenset[int]
+
+    @property
+    def multipliers(self) -> tuple[Monomial, ...]:
+        return tuple(self.keys.unpack(key) for key, _ in self.blocks)
+
+    @property
+    def unknown_index(self) -> Mapping[Monomial, int]:
+        unpack = self.keys.unpack
+        return MappingProxyType({unpack(key): col for key, col in self.columns.items()})
 
     @property
     def n_rows(self) -> int:
-        return len(self.multipliers) * len(self.relations)
+        return len(self.blocks) * len(self.relations)
 
     @property
     def n_unknowns(self) -> int:
-        return len(self.unknown_index)
-
-
-def _admissible_family(fan: Fan, e_index: int) -> frozenset[frozenset[int]]:
-    """Every set of rays that, with the exceptional ray, lies in a top cone."""
-    family: set[frozenset[int]] = set()
-    for c in fan.top_cones:
-        if e_index not in c:
-            continue
-        items = sorted(c - {e_index})
-        for r in range(len(items) + 1):
-            for sub in combinations(items, r):
-                family.add(frozenset(sub))
-    if not family:
-        raise ValueError("no top cone contains the exceptional ray")
-    return frozenset(family)
-
-
-def _power_monomial(n_rays: int, e_index: int, e_exp: int, dset: frozenset[int]) -> Monomial:
-    mono = [0] * n_rays
-    mono[e_index] = e_exp
-    for i in dset:
-        mono[i] = 1
-    return tuple(mono)
+        return len(self.columns)
 
 
 def assemble_system(
@@ -220,28 +217,39 @@ def assemble_system(
             "expected one relation per ambient coordinate with one "
             "coefficient per ray"
         )
-    admissible = _admissible_family(fan, e_index)
-    ordered = sorted(admissible, key=lambda s: (len(s), tuple(sorted(s))))
-    multipliers: list[Monomial] = []
-    unknowns: list[Monomial] = []
-    for s in ordered:
-        t = len(s)
-        if t > n - 2:
-            continue
-        mult = _power_monomial(n_rays, e_index, (n - 1) - t, s)
-        multipliers.append(mult)
-        unknowns.append(_bump(mult, e_index))
-        for i in sorted(s):
-            unknowns.append(_bump(mult, i))
-    unknowns.sort()
-    unknown_index = {m: k for k, m in enumerate(unknowns)}
+    if not any(e_index in cone for cone in fan.top_cones):
+        raise ValueError("no top cone contains the exceptional ray")
+    keys = MonomialKeys(n_rays, n)
+    ones = keys.ones
+    ebit = 1 << e_index
+    # Every subset of a top cone through E, E's bit left out, walked as
+    # the submasks of the cone's mask.
+    admissible = {0}
+    for full in (sum(1 << r for r in c) ^ ebit for c in fan.top_cones if e_index in c):
+        sub = full
+        while sub:
+            admissible.add(sub)
+            sub = (sub - 1) & full
+    blocks = []
+    for s in admissible:
+        t = s.bit_count()
+        if t <= n - 2:
+            divisors = sum(o for r, o in enumerate(ones) if s >> r & 1)
+            blocks.append(((n - 1 - t) * ones[e_index] + divisors, s))
+    # Among supports of one size, the key is larger when the first ray
+    # where two supports differ belongs to it.
+    blocks.sort(key=lambda b: (b[1].bit_count(), -b[0]))
+    unknowns = sorted(
+        key + o for key, s in blocks for r, o in enumerate(ones) if (s | ebit) >> r & 1
+    )
     return LinearSystem(
         fan=fan,
         e_index=e_index,
         relations=relations,
-        multipliers=tuple(multipliers),
-        unknown_index=unknown_index,
-        admissible=admissible,
+        keys=keys,
+        blocks=tuple(blocks),
+        columns={key: col for col, key in enumerate(unknowns)},
+        admissible=frozenset(admissible),
     )
 
 
@@ -249,13 +257,14 @@ def assemble_system(
 class SystemSolution:
     """Exact solution of a LinearSystem with diagnostics.
 
-    Values are integers: every unknown is obtained from the integer
-    inverse of a basic cone matrix acting on previously solved integer
-    values, starting from square-free constants. `rank` counts the
-    columns some block solved and `free_columns` lists those none did.
+    Values are integers (integer cone coordinates acting on square-free
+    constants), by packed key in `by_key` and by exponent tuple in
+    `values`. `rank` counts the columns some block solved and
+    `free_columns` lists those none did.
     """
 
-    values: dict[Monomial, int]
+    by_key: dict[int, int]
+    keys: MonomialKeys
     consistent: bool
     problems: tuple[str, ...]
     n_unknowns: int
@@ -264,26 +273,46 @@ class SystemSolution:
     free_columns: tuple[int, ...]
     e_top: int
 
+    @cached_property
+    def values(self) -> dict[Monomial, int]:
+        unpack = self.keys.unpack
+        return {unpack(key): value for key, value in self.by_key.items()}
+
+
+class _CoordinateTable(dict):
+    """The coordinates of the rays outside one cone in its ray basis, a
+    row per ray rho of the cone, computed on first use: the nonzero
+    (rp, coeff) over the outside rays rp in increasing order, coeff the
+    covector dual to rho (`covectors[rho]`) evaluated on ray rp."""
+
+    def __init__(self, covectors: dict[int, list[int]], outside: list[tuple[int, Sequence[int]]]):
+        super().__init__()
+        self.covectors = covectors
+        self.outside = outside
+
+    def __missing__(self, rho: int) -> tuple[tuple[int, int], ...]:
+        mu = self.covectors[rho]
+        self[rho] = row = tuple(
+            (rp, c) for rp, v in self.outside if (c := sum(map(operator.mul, mu, v)))
+        )
+        return row
+
 
 class ConeAtlas:
-    """Integer data of a basic fan's top cones, each item computed once.
-
-    `vectors[r]` is the lattice vector of ray r. Per top cone the atlas
-    keeps the integer inverse of the matrix whose columns are the cone's
-    ray vectors, and per ray rho of the cone the nonzero values
-    (rp, coeff) of the covector dual to rho on the rays rp outside the
-    cone; on the cone's other rays that covector vanishes. Containing
-    cones are looked up by bitmasks of ray indices. Both intersection
-    engines read one atlas, so the inverses of a fan are computed once.
-    """
+    """Integer data of a basic fan's top cones, each item computed once:
+    per top cone the integer inverse of the matrix whose columns are its
+    ray vectors (`vectors[r]` for ray r) and, read from it, the
+    coordinates of the rays outside the cone. Containing cones are looked
+    up by bitmasks of ray indices. Both engines read one atlas, so the
+    inverses of a fan are computed once."""
 
     def __init__(self, vectors: Sequence[Sequence[int]], top_cones: Sequence[frozenset[int]]):
         self.vectors = tuple(tuple(v) for v in vectors)
         self.top_cones = tuple(top_cones)
-        self._masks = tuple(_mask(c) for c in self.top_cones)
+        self._masks = tuple(sum(1 << r for r in c) for c in self.top_cones)
         self._containing: dict[int, int | None] = {}
         self._inverses: dict[int, tuple[list[list[int]], tuple[int, ...]]] = {}
-        self._terms: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._coordinates: dict[int, _CoordinateTable] = {}
 
     def cone_for(self, mask: int) -> int | None:
         """Index of the first top cone containing every ray of `mask`,
@@ -305,24 +334,20 @@ class ConeAtlas:
             self._inverses[ci] = got
         return got
 
-    def terms(self, ci: int, rho: int) -> tuple[tuple[int, int], ...]:
-        """Nonzero (rp, coeff) of the covector dual to ray rho in cone ci,
-        over the rays rp outside the cone, in increasing order of rp."""
-        key = (ci, rho)
-        got = self._terms.get(key)
+    def coordinates(self, ci: int) -> _CoordinateTable:
+        """Cone ci's coordinate table, read from its inverse; the keys of
+        its `covectors` are the cone's rays in increasing order."""
+        got = self._coordinates.get(ci)
         if got is None:
             inv, cols = self.inverse(ci)
-            mu = inv[cols.index(rho)]
-            cone = self.top_cones[ci]
-            got = tuple(
-                (rp, coeff)
-                for rp, vec in enumerate(self.vectors)
-                if rp not in cone
-                for coeff in (sum(a * b for a, b in zip(mu, vec)),)
-                if coeff
-            )
-            self._terms[key] = got
+            outside = [(rp, v) for rp, v in enumerate(self.vectors) if rp not in cols]
+            got = self._coordinates[ci] = _CoordinateTable(dict(zip(cols, inv)), outside)
         return got
+
+    def terms(self, ci: int, rho: int) -> tuple[tuple[int, int], ...]:
+        """The covector dual to ray rho in cone ci on the rays outside the
+        cone, where it does not vanish: `coordinates(ci)[rho]`."""
+        return self.coordinates(ci)[rho]
 
 
 def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> SystemSolution:
@@ -331,15 +356,16 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     The block of a multiplier with support S has unknown columns indexed
     by S plus the exceptional ray; those columns are rays of a common
     basic cone, hence linearly independent, so the block determines its
-    unknowns uniquely once larger supports are known. Expressing the
-    block's right-hand side in the cone's unimodular ray basis both
-    solves for the unknowns (coordinates inside the support) and checks
-    consistency (coordinates outside the support must vanish). Each
-    column of `unknown_index` must be solved by exactly one block: a
-    column solved twice is a problem, and columns no block solves are
-    reported as free and lower the rank.
+    unknowns uniquely once larger supports are known. In the cone's ray
+    basis the right-hand side, minus the bumped values times the rays
+    outside the support, takes the atlas coordinates of the rays outside
+    the cone and a unit coordinate for each other ray of the cone. The
+    coordinates inside the support are the unknowns; the others must
+    vanish. Each column must be solved by exactly one block: a column
+    solved twice is a problem, and columns no block solves are reported
+    as free and lower the rank.
 
-    `atlas` supplies the cone inverses; it must describe the system's
+    `atlas` supplies the cone coordinates; it must describe the system's
     own relations, and a fresh one is built when it is omitted.
     """
     fan = system.fan
@@ -353,59 +379,62 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
         atlas = ConeAtlas(vectors, fan.top_cones)
     elif atlas.vectors != vectors or atlas.top_cones != fan.top_cones:
         raise ValueError("the cone atlas does not describe the system's relations")
-    index = system.unknown_index
-    solved = dict.fromkeys(index.values(), 0)
-    values: dict[Monomial, int] = {}
+    keys = system.keys
+    ones = keys.ones
+    admissible = system.admissible
+    columns = system.columns
+    solved = dict.fromkeys(columns.values(), 0)
+    values: dict[int, int] = {}
     problems: list[str] = []
-    for mult in reversed(system.multipliers):
-        s = frozenset(i for i in range(n_rays) if i != e and mult[i] > 0)
-        t = len(s)
-        supp = s | {e}
-        inv, cols = atlas.inverse(atlas.cone_for(_mask(supp)))
-        rhs = [0] * n
-        for rho in range(n_rays):
-            if rho in supp:
-                continue
-            if s | {rho} not in system.admissible:
-                continue
-            val = 1 if t == n - 2 else values[_bump(mult, rho)]
-            if val == 0:
-                continue
-            for j, c in enumerate(vectors[rho]):
-                if c:
-                    rhs[j] -= c * val
-        for ray_k, row in zip(cols, inv):
-            y = sum(map(operator.mul, row, rhs))
-            if ray_k in supp:
-                mono = _bump(mult, ray_k)
-                values[mono] = y
-                col = index.get(mono)
+    for mkey, s in reversed(system.blocks):
+        supp = s | 1 << e
+        top = s.bit_count() == n - 2
+        # The multiplier bumped by each ray outside the support; a bump
+        # whose support lies in no top cone is 0 and left out.
+        bumped = {
+            rho: 1 if top else values[mkey + ones[rho]]
+            for rho in range(n_rays)
+            if not supp >> rho & 1 and s | 1 << rho in admissible
+        }
+        table = atlas.coordinates(atlas.cone_for(supp))
+        for ray_k in table.covectors:
+            y = 0
+            for rp, coeff in table[ray_k]:
+                y -= coeff * bumped.get(rp, 0)
+            if supp >> ray_k & 1:
+                ukey = mkey + ones[ray_k]
+                values[ukey] = y
+                col = columns.get(ukey)
                 if col is None:
                     problems.append(
-                        f"block {format_monomial(mult)} solves {format_monomial(mono)}, "
-                        "which is not a column"
+                        f"block {format_monomial(keys.unpack(mkey))} solves "
+                        f"{format_monomial(keys.unpack(ukey))}, which is not a column"
                     )
                 else:
                     solved[col] += 1
-            elif y != 0:
-                problems.append(
-                    f"block {format_monomial(mult)}: coefficient of ray {ray_k} "
-                    f"must vanish but equals {y}"
-                )
-    for mono, col in index.items():
+            else:
+                y -= bumped[ray_k]
+                if y != 0:
+                    problems.append(
+                        f"block {format_monomial(keys.unpack(mkey))}: coefficient of ray "
+                        f"{ray_k} must vanish but equals {y}"
+                    )
+    for ukey, col in columns.items():
         if solved[col] > 1:
-            problems.append(f"column {format_monomial(mono)} is solved by {solved[col]} blocks")
+            problems.append(
+                f"column {format_monomial(keys.unpack(ukey))} is solved by {solved[col]} blocks"
+            )
     free_columns = tuple(sorted(col for col, times in solved.items() if times == 0))
-    e_top_mono = _power_monomial(n_rays, e, n, frozenset())
     return SystemSolution(
-        values=values,
+        by_key=values,
+        keys=keys,
         consistent=not problems,
         problems=tuple(problems),
         n_unknowns=system.n_unknowns,
         n_rows=system.n_rows,
         rank=len(solved) - len(free_columns),
         free_columns=free_columns,
-        e_top=values[e_top_mono],
+        e_top=values[n * ones[e]],
     )
 
 
@@ -417,22 +446,22 @@ def squarefree_value(mono: Sequence[int], fan: Fan) -> int:
     """
     if len(mono) != len(fan.rays):
         raise ValueError("monomial length does not match the ray count")
-    if not _is_squarefree(mono):
+    if max(mono) > 1:
         raise ValueError("monomial is not square-free")
     if sum(mono) != fan.ambient:
         raise ValueError("degree must equal the ambient dimension")
-    return 1 if _support(mono) in set(fan.top_cones) else 0
+    return 1 if frozenset(i for i, e in enumerate(mono) if e) in set(fan.top_cones) else 0
 
 
 class IntersectionEngine:
     """Both engines over one fan, reading one shared cone atlas.
 
     The recursive evaluator and the block solver find containing cones
-    and integer cone inverses in `atlas`, so each inverse is computed
-    once per engine; the evaluator also reads its covector terms there.
-    The linear system is assembled and solved lazily on first use. The
-    verification suite rebuilds every row from the raw relations, so a
-    fault in the shared atlas still shows.
+    and cone coordinates in `atlas`, so each inverse is computed once per
+    engine; `keys` is the packing of the engine's linear system. The
+    linear system is assembled and solved lazily on first use. The verification suite rebuilds
+    every row from the raw relations, so a fault in the shared atlas
+    still shows.
     """
 
     def __init__(self, fan: Fan, e_index: int = 0):
@@ -441,6 +470,7 @@ class IntersectionEngine:
         self.fan = fan
         self.e_index = e_index
         self.atlas = ConeAtlas(fan.rays, fan.top_cones)
+        self.keys = MonomialKeys(len(fan.rays), fan.ambient)
         self._memo: dict[Monomial, int] = {}
         self._system: LinearSystem | None = None
         self._solution: SystemSolution | None = None
@@ -472,9 +502,12 @@ class IntersectionEngine:
         """Value according to the linear system: a solved unknown, a
         square-free constant, or None if the monomial is not a column."""
         key = tuple(mono)
-        if _is_squarefree(key) and sum(key) == self.fan.ambient:
+        n = self.fan.ambient
+        if max(key, default=0) <= 1 and sum(key) == n:
             return squarefree_value(key, self.fan)
-        return self.solution.values.get(key)
+        if len(key) != len(self.fan.rays) or min(key) < 0 or sum(key) != n:
+            return None
+        return self.solution.by_key.get(self.keys.pack(key))
 
     def evaluate(self, mono: Sequence[int]) -> int:
         """Recursive engine: exact value of any degree-n monomial with
@@ -501,7 +534,7 @@ class IntersectionEngine:
         cached = self._memo.get(mono)
         if cached is not None:
             return cached
-        ci = self.atlas.cone_for(_mask(i for i, x in enumerate(mono) if x))
+        ci = self.atlas.cone_for(sum(1 << i for i, x in enumerate(mono) if x))
         if ci is None:
             value = 0
         else:
@@ -515,7 +548,6 @@ class IntersectionEngine:
                 base = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1 :]
                 value = 0
                 for rp, coeff in self.atlas.terms(ci, rho):
-                    value -= coeff * self._eval(_bump(base, rp))
+                    value -= coeff * self._eval(base[:rp] + (base[rp] + 1,) + base[rp + 1 :])
         self._memo[mono] = value
         return value
-

@@ -20,7 +20,7 @@ from typing import Sequence
 from .cones import Cone, Fan, enumerate_facets
 from .d4fan import StarFan, Stabilizer, build_star_fan
 from .exact import int_det, primitive_vector, rref
-from .intersection import IntersectionEngine
+from .intersection import IntersectionEngine, format_monomial
 from .proportionality import bernoulli, l_top
 from .tables import (
     FaberData,
@@ -332,44 +332,56 @@ def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -
             "linear system, reported consistent and uniquely determined",
             f"{EXPECTED_E_TOP} (consistent, unique)",
             f"{sol.e_top} ({'consistent' if sol.consistent else 'inconsistent'}, "
-            f"{'unique' if unique else 'underdetermined'})",
+            f"{'unique' if unique else 'underdetermined'})"
+            + (f"; first problem: {sol.problems[0]}" if sol.problems else ""),
         )
     )
 
     # 7. Cross-agreement of the two engines, and every row identity. The
     # rows are rebuilt from the raw relations rather than the shared cone
     # atlas. All rows of one multiplier share its monomials, one per ray
-    # some relation uses, so each of those is evaluated once per
-    # multiplier and every relation sums its own nonzero terms over them.
-    # Every monomial comes from the system itself, so the sweep skips the
-    # argument checks of the public evaluate.
-    evaluate = engine._eval
-    mismatches = 0
-    for mono, value in sol.values.items():
-        if evaluate(mono) != value:
-            mismatches += 1
+    # some relation uses: each is evaluated once per multiplier, and its
+    # nonzero value times the ray's column of the relations is added to
+    # the row sums. The bumps by rays of the support are the block's
+    # unknowns, looked up in the solution by packed key. Every monomial
+    # comes from the system itself, so the sweep skips the argument
+    # checks of the public evaluate.
     system = engine.system
-    relation_terms = [
-        [(r, coeff) for r, coeff in enumerate(rel.coefficients) if coeff]
-        for rel in system.relations
+    evaluate = engine._eval
+    unpack = system.keys.unpack
+    ray_terms = [
+        (r, 1 << r, system.keys.ones[r], terms)
+        for r, column in enumerate(zip(*(rel.coefficients for rel in system.relations)))
+        if (terms := [(j, coeff) for j, coeff in enumerate(column) if coeff])
     ]
-    used_rays = sorted({r for terms in relation_terms for r, _ in terms})
-    bad_rows = 0
-    for mult in system.multipliers:
-        bumped = {
-            r: evaluate(mult[:r] + (mult[r] + 1,) + mult[r + 1 :]) for r in used_rays
-        }
-        for terms in relation_terms:
-            if sum(coeff * bumped[r] for r, coeff in terms) != 0:
-                bad_rows += 1
+    mismatched: dict[int, None] = {}
+    bad_rows: list[tuple[int, int]] = []
+    for mkey, s in system.blocks:
+        mult = unpack(mkey)
+        supp = s | 1 << system.e_index
+        sums = [0] * len(system.relations)
+        for r, bit, one, terms in ray_terms:
+            value = evaluate(mult[:r] + (mult[r] + 1,) + mult[r + 1 :])
+            if supp & bit and sol.by_key.get(mkey + one) != value:
+                mismatched[mkey + one] = None
+            if value:
+                for j, coeff in terms:
+                    sums[j] += coeff * value
+        bad_rows += [(mkey, j) for j, total in enumerate(sums) if total]
+    located = [f"; first mismatch: {format_monomial(unpack(k))}" for k in list(mismatched)[:1]]
+    located += [
+        f"; first nonzero row: {format_monomial(unpack(mkey))} times relation "
+        f"{system.relations[j].index}"
+        for mkey, j in bad_rows[:1]
+    ]
     checks.append(
         _check(
             "engine_agreement",
             "recursive evaluator agrees with the linear-system solution on every "
             "unknown, and every relation-times-multiplier row sums to zero",
             f"0 mismatches on {sol.n_unknowns} unknowns, 0 nonzero rows of {sol.n_rows}",
-            f"{mismatches} mismatches on {sol.n_unknowns} unknowns, "
-            f"{bad_rows} nonzero rows of {sol.n_rows}",
+            f"{len(mismatched)} mismatches on {sol.n_unknowns} unknowns, "
+            f"{len(bad_rows)} nonzero rows of {sol.n_rows}" + "".join(located),
         )
     )
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -278,6 +279,23 @@ def test_corrupted_shared_inverse_fails_verify(capsys, monkeypatch, star, stabil
     out = capsys.readouterr().out
     assert code == 1
     assert any(l.startswith("[FAIL] engine_agreement") for l in out.splitlines())
+
+
+def test_corrupted_shared_coordinates_fail_verify(capsys, monkeypatch, star, stabilizer):
+    engine = IntersectionEngine(star.fan, star.e_index)
+    # One entry of the atlas's coordinate table: the E-coordinate in cone
+    # 0 of the first ray outside it, which both engines read.
+    table = engine.atlas.coordinates(0)
+    (rp, coeff), *rest = table[0]
+    table[0] = ((rp, coeff + 1), *rest)
+    monkeypatch.setattr(cli, "_context", lambda: (star, stabilizer, engine))
+    code = main(["verify", "--reproducible"])
+    out = capsys.readouterr().out
+    assert code == 1
+    # The row sweep rebuilds every row from the raw relations, so it names
+    # a row that the corrupted values break.
+    line = next(l for l in out.splitlines() if l.startswith("[FAIL] engine_agreement"))
+    assert re.search(r"first nonzero row: E\S* times relation \d+$", line)
 
 
 @pytest.mark.parametrize(

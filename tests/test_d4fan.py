@@ -119,6 +119,13 @@ def test_minimal_vectors_rejects_scaled_gram():
         build_star_fan(doubled)
 
 
+def test_one_ray_form_is_rejected():
+    # The rank-1 form 2x^2 has one norm-2 ray, (1,): its cone is that ray,
+    # and the barycenter would be the ray itself.
+    with pytest.raises(FanConstructionError, match="no interior to subdivide"):
+        build_star_fan(((2,),))
+
+
 @pytest.mark.parametrize(
     "gram",
     [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from a4toric import intersection
+from a4toric import build_star_fan, intersection
 from a4toric.exact import rref, unimodular_inverse
 from a4toric.intersection import (
     ConeAtlas,
@@ -101,9 +101,13 @@ def test_assemble_system_shape(engine):
     assert system.n_unknowns == N_UNKNOWNS
     assert system.n_rows == N_ROWS
     assert len(system.relations) == 10
-    # The largest admissible supports are the 64 cones through E, less E.
-    assert sum(len(s) == 9 for s in system.admissible) == 64
-    assert max(len(s) for s in system.admissible) == 9
+    # The largest admissible supports are the 64 cones through E, less E,
+    # held as ray bitmasks without E's bit.
+    assert sum(s.bit_count() == 9 for s in system.admissible) == 64
+    assert max(s.bit_count() for s in system.admissible) == 9
+    assert not any(s & 1 for s in system.admissible)
+    cones = {sum(1 << r for r in c) ^ 1 for c in engine.fan.top_cones}
+    assert {s for s in system.admissible if s.bit_count() == 9} == cones
     rng = random.Random(11)
     for mult in rng.sample(system.multipliers, 25):
         assert sum(mult) == 9
@@ -143,41 +147,116 @@ def test_solve_system(engine):
     assert engine.e_top == Fraction(E_TOP)
 
 
-def test_block_solve_matches_dense_elimination(engine):
-    """Re-solve sampled blocks with plain Gauss-Jordan elimination."""
-    system = engine.system
-    sol = engine.solution
-    fan = engine.fan
-    coeff = [rel.coefficients for rel in system.relations]
+def _dense_block(fan, mult, known):
+    """Solve the block of `mult` (any degree n-1 monomial) by plain
+    Gauss-Jordan elimination of its rows over the raw relations, with
+    `known` giving each monomial bumped by a ray outside the support.
+    Returns the value of the monomial bumped by each ray of the support."""
+    coeff = [rel.coefficients for rel in build_relations(fan)]
+    cols = [k for k, e in enumerate(mult) if e > 0]
+    outside = {
+        rho: known(_bump(mult, rho)) for rho in range(len(fan.rays)) if rho not in cols
+    }
+    matrix = [
+        [row[k] for k in cols] + [-sum(row[r] * v for r, v in outside.items())] for row in coeff
+    ]
+    # The augmented system is consistent with a unique solution exactly
+    # when the pivots are the unknown columns, all of them.
+    red, pivots = rref(matrix)
+    assert pivots == list(range(len(cols)))
+    return {ray: red[pos][-1] for pos, ray in enumerate(cols)}
+
+
+def _known(fan, values):
+    """Value of a bumped monomial from `values` or, when it is not there,
+    as a square-free constant or a 0 outside every cone."""
 
     def known(mono):
         if all(e <= 1 for e in mono):
             return squarefree_value(mono, fan)
-        got = sol.values.get(mono)
+        got = values.get(mono)
         if got is not None:
             return got
         supp = frozenset(k for k, e in enumerate(mono) if e > 0)
         assert not any(supp <= c for c in fan.top_cones)
         return 0
 
+    return known
+
+
+def test_block_solve_matches_dense_elimination(engine):
+    """Re-solve sampled blocks with plain Gauss-Jordan elimination."""
+    sol = engine.solution
     rng = random.Random(20260819)
-    for mult in rng.sample(system.multipliers, 12):
-        cols = [k for k, e in enumerate(mult) if e > 0]
-        matrix = [[coeff[j][k] for k in cols] for j in range(10)]
-        rhs = [
-            -sum(
-                coeff[j][rho] * known(_bump(mult, rho))
-                for rho in range(13)
-                if rho not in cols
-            )
-            for j in range(10)
-        ]
-        # The augmented system is consistent with a unique solution exactly
-        # when the pivots are the unknown columns, all of them.
-        red, pivots = rref([row + [b] for row, b in zip(matrix, rhs)])
-        assert pivots == list(range(len(cols)))
-        for pos, ray in enumerate(cols):
-            assert red[pos][-1] == sol.values[_bump(mult, ray)]
+    for mult in rng.sample(engine.system.multipliers, 12):
+        for ray, value in _dense_block(engine.fan, mult, _known(engine.fan, sol.values)).items():
+            assert value == sol.values[_bump(mult, ray)]
+
+
+def _cartan_a(n):
+    return tuple(
+        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+@pytest.fixture(scope="module")
+def engines(engine):
+    a_n = {f"A{n}": build_star_fan(_cartan_a(n)) for n in (2, 3)}
+    return {"D4": engine} | {k: IntersectionEngine(s.fan, s.e_index) for k, s in a_n.items()}
+
+
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_every_block_matches_dense_elimination(engines, name):
+    # Every block solved densely, largest supports first, without either
+    # engine; both must give every column the same value.
+    engine = engines[name]
+    solved = {}
+    for mult in reversed(engine.system.multipliers):
+        for ray, value in _dense_block(engine.fan, mult, _known(engine.fan, solved)).items():
+            solved[_bump(mult, ray)] = value
+    assert len(solved) == engine.system.n_unknowns
+    for mono, value in solved.items():
+        assert engine.evaluate(mono) == engine.system_value(mono) == value
+
+
+def _assert_matches_its_block(engine, mono):
+    """evaluate(mono) equals the dense solution of the block of mono over
+    its last repeated ray, given evaluate's values outside that block."""
+    value = engine.evaluate(mono)
+    if max(mono) <= 1:
+        assert value == squarefree_value(mono, engine.fan)
+        return
+    r = max(k for k, e in enumerate(mono) if e >= 2)
+    mult = mono[:r] + (mono[r] - 1,) + mono[r + 1 :]
+    assert _dense_block(engine.fan, mult, engine.evaluate)[r] == value
+
+
+@pytest.mark.parametrize("name", ["D4", "A2", "A3"])
+def test_field_edges_match_dense_elimination(engines, name):
+    # E^n and E*D_k^(n-1) fill a key field up to the ambient dimension n.
+    engine = engines[name]
+    n, n_rays = engine.fan.ambient, len(engine.fan.rays)
+    edges = [(n,) + (0,) * (n_rays - 1)] + [
+        tuple(1 if i == 0 else n - 1 if i == k else 0 for i in range(n_rays))
+        for k in range(1, n_rays)
+    ]
+    for mono in edges:
+        assert engine.keys.unpack(engine.keys.pack(mono)) == mono
+        _assert_matches_its_block(engine, mono)
+    assert engine.evaluate(edges[0]) == engine.e_top
+
+
+@pytest.mark.parametrize("name", ["D4", "A2", "A3"])
+@given(data=st.data())
+def test_random_monomials_match_dense_elimination(engines, name, data):
+    # A degree-n monomial in the rays of a random top cone, E at least once.
+    engine = engines[name]
+    n = engine.fan.ambient
+    cone = data.draw(st.sampled_from(engine.fan.top_cones))
+    rays = data.draw(st.lists(st.sampled_from(sorted(cone)), min_size=n - 1, max_size=n - 1))
+    mono = tuple(int(i == 0) + rays.count(i) for i in range(len(engine.fan.rays)))
+    _assert_matches_its_block(engine, mono)
 
 
 def test_engines_agree_on_sample(engine):
@@ -287,7 +366,7 @@ def test_cone_for_finds_first_containing_cone(star):
 
 def test_unsolved_column_is_free():
     system = assemble_system(plane_blowup_fan(), e_index=2)
-    system.unknown_index[(1, 1, 0)] = 1
+    system.columns[system.keys.pack((1, 1, 0))] = 1
     sol = solve_system(system)
     assert sol.consistent
     assert sol.free_columns == (1,)
@@ -297,7 +376,7 @@ def test_unsolved_column_is_free():
 
 def test_column_solved_twice_is_a_problem():
     system = assemble_system(plane_blowup_fan(), e_index=2)
-    system.multipliers = system.multipliers * 2
+    system.blocks = system.blocks * 2
     sol = solve_system(system)
     assert not sol.consistent
     assert sol.problems == ("column D2^2 is solved by 2 blocks",)
@@ -306,8 +385,8 @@ def test_column_solved_twice_is_a_problem():
 
 def test_extra_column_fails_uniqueness_check(star, stabilizer):
     eng = IntersectionEngine(star.fan, star.e_index)
-    index = eng.system.unknown_index
-    index[(6, 2, 2) + (0,) * 10] = len(index)
+    columns = eng.system.columns
+    columns[eng.keys.pack((6, 2, 2) + (0,) * 10)] = len(columns)
     assert eng.solution.free_columns == (N_UNKNOWNS,)
     assert eng.solution.rank == N_UNKNOWNS
     report = run_all(star=star, stabilizer=stabilizer, engine=eng)

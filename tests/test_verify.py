@@ -6,7 +6,14 @@ import re
 import pytest
 
 from a4toric.d4fan import Stabilizer
-from a4toric.intersection import IntersectionEngine
+from a4toric.intersection import (
+    IntersectionEngine,
+    LinearRelation,
+    assemble_system,
+    build_relations,
+    format_monomial,
+    solve_system,
+)
 from a4toric.verify import _permutes_facets, run_all
 
 
@@ -69,10 +76,46 @@ def test_row_sweep_counts_the_rows_iter_rows_gives(star, stabilizer, system_rows
     check = _check(report, "engine_agreement")
     assert not check.passed
     reported = int(re.search(r"(\d+) nonzero rows of 33110", check.actual).group(1))
-    counted = sum(
-        1
+    rows = [
+        r
         for r in system_rows(eng.system)
-        if sum(coeff * eng._eval(m) for m, coeff in r.products) != 0
+        if sum(coeff * eng.evaluate(m) for m, coeff in r.products) != 0
+    ]
+    assert len(rows) > 10
+    assert reported == len(rows)
+    # The sweep names the first unknown, in multiplier order and then ray
+    # order, whose recursive value differs from the block solve, and the
+    # first nonzero row.
+    values = eng.solution.values
+    first = next(
+        m
+        for mult in eng.system.multipliers
+        for r in range(13)
+        if mult[r] or r == 0
+        for m in (mult[:r] + (mult[r] + 1,) + mult[r + 1 :],)
+        if eng.evaluate(m) != values[m]
     )
-    assert counted > 10
-    assert reported == counted
+    assert f"; first mismatch: {format_monomial(first)};" in check.actual
+    assert check.actual.endswith(
+        f"; first nonzero row: {format_monomial(rows[0].multiplier)} "
+        f"times relation {rows[0].relation_index}"
+    )
+
+
+def test_inconsistent_system_names_its_first_problem(star, stabilizer):
+    # Raising D1's coefficient in relation 0 by 2 keeps every cone the
+    # solver inverts unimodular and E^10 at -1680, but breaks wall
+    # relations: the system becomes inconsistent.
+    relations = list(build_relations(star.fan))
+    coefficients = list(relations[0].coefficients)
+    coefficients[1] += 2
+    relations[0] = LinearRelation(0, tuple(coefficients))
+    eng = IntersectionEngine(star.fan, star.e_index)
+    eng._solution = solve_system(assemble_system(star.fan, tuple(relations), star.e_index))
+    problems = eng.solution.problems
+    assert problems[0] == (
+        "block E*D2*D5*D6*D8*D9*D10*D11*D12: coefficient of ray 7 must vanish but equals -2"
+    )
+    check = _check(run_all(star, stabilizer, eng), "exceptional_top_power")
+    assert not check.passed
+    assert check.actual == f"-1680 (inconsistent, unique); first problem: {problems[0]}"
