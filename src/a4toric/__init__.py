@@ -19,7 +19,7 @@ The `verify` module re-derives and cross-checks all of it; the
 `a4toric` command line exposes reports, tables, and the checks.
 """
 
-from .cones import Cone, Facet, Fan, cone_dim, enumerate_facets
+from .cones import Cone, Facet, Fan, enumerate_facets
 from .d4fan import (
     LatticeAutomorphism,
     Stabilizer,
@@ -37,7 +37,6 @@ from .intersection import (
     format_monomial,
     parse_monomial,
     solve_system,
-    squarefree_value,
 )
 from .proportionality import ProportionalityResult, bernoulli, l_top
 from .tables import (
@@ -57,7 +56,6 @@ __all__ = [
     "Cone",
     "Facet",
     "Fan",
-    "cone_dim",
     "enumerate_facets",
     "LatticeAutomorphism",
     "Stabilizer",
@@ -73,7 +71,6 @@ __all__ = [
     "format_monomial",
     "parse_monomial",
     "solve_system",
-    "squarefree_value",
     "ProportionalityResult",
     "bernoulli",
     "l_top",

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import index
 
-from .exact import DimensionError, gcd_content, int_det, kernel_basis, kernel_line, rank
+from .exact import DimensionError, gcd_content, int_det, kernel_basis, kernel_line
 
 __all__ = [
     "Cone",
     "Facet",
     "Fan",
     "DegenerateConeError",
-    "cone_dim",
     "enumerate_facets",
 ]
 
@@ -63,11 +62,6 @@ class Cone:
             if g in seen:
                 raise ValueError(f"duplicate generator {g}")
             seen.add(g)
-
-
-def cone_dim(cone: Cone) -> int:
-    """Dimension of the linear span of the cone."""
-    return rank(cone.generators)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,13 @@ divisors. Two independent engines compute these values:
   remain, which are 1 on the ray set of a top cone and 0 otherwise.
 
 Both engines return exact integers; the fan's cones being basic makes
-every intermediate covector integral. The linear system keys each
-monomial by one packed int (`MonomialKeys`) and each support by a ray
-bitmask, and decodes to exponent tuples only at its public boundary;
-the recursive evaluator keys its memo by exponent tuple.
+every intermediate covector integral. Both ask one `ConeAtlas` which top
+cone holds a ray set and read the covectors of that cone from it, so a
+square-free top monomial and every bump of a block are decided by the
+same lookup. The linear system keys each monomial by one packed int
+(`MonomialKeys`) and each support by a ray bitmask, and decodes to
+exponent tuples only at its public boundary; the recursive evaluator
+keys its memo by exponent tuple.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cones import Fan
 from .exact import unimodular_inverse
@@ -57,7 +59,6 @@ __all__ = [
     "SystemSolution",
     "ConeAtlas",
     "solve_system",
-    "squarefree_value",
     "IntersectionEngine",
 ]
 
@@ -160,14 +161,14 @@ def build_relations(fan: Fan) -> tuple[LinearRelation, ...]:
 class LinearSystem:
     """The assembled block system, keyed by packed monomials.
 
-    `admissible` holds the bitmasks of the ray sets S, E's bit left out,
-    that lie in a top cone with E; `blocks` one (multiplier key, S) per
-    multiplier, by the size of S and then its rays in increasing order;
-    `columns` each unknown's key and column, in key order. The unknowns
-    are the degree-n monomials that occur in some row and are neither
-    square-free (0/1 constants) nor supported outside every cone (0):
-    per admissible support, the pure power with exceptional exponent
-    >= 2 and the forms with a single squared divisor factor.
+    `blocks` holds one (multiplier key, S) per multiplier, S the bitmask
+    of its divisor rays (E's bit left out), by the size of S and then its
+    rays in increasing order; `columns` each unknown's key and column, in
+    key order. The unknowns are the degree-n monomials that occur in some
+    row and are neither square-free (0/1 constants) nor supported outside
+    every cone (0): per multiplier support, the pure power with
+    exceptional exponent >= 2 and the forms with a single squared divisor
+    factor.
     """
 
     fan: Fan
@@ -176,16 +177,10 @@ class LinearSystem:
     keys: MonomialKeys
     blocks: tuple[tuple[int, int], ...]
     columns: dict[int, int]
-    admissible: frozenset[int]
 
     @property
     def multipliers(self) -> tuple[Monomial, ...]:
         return tuple(self.keys.unpack(key) for key, _ in self.blocks)
-
-    @property
-    def unknown_index(self) -> Mapping[Monomial, int]:
-        unpack = self.keys.unpack
-        return MappingProxyType({unpack(key): col for key, col in self.columns.items()})
 
     @property
     def n_rows(self) -> int:
@@ -249,7 +244,6 @@ def assemble_system(
         keys=keys,
         blocks=tuple(blocks),
         columns={key: col for col, key in enumerate(unknowns)},
-        admissible=frozenset(admissible),
     )
 
 
@@ -279,40 +273,23 @@ class SystemSolution:
         return {unpack(key): value for key, value in self.by_key.items()}
 
 
-class _CoordinateTable(dict):
-    """The coordinates of the rays outside one cone in its ray basis, a
-    row per ray rho of the cone, computed on first use: the nonzero
-    (rp, coeff) over the outside rays rp in increasing order, coeff the
-    covector dual to rho (`covectors[rho]`) evaluated on ray rp."""
-
-    def __init__(self, covectors: dict[int, list[int]], outside: list[tuple[int, Sequence[int]]]):
-        super().__init__()
-        self.covectors = covectors
-        self.outside = outside
-
-    def __missing__(self, rho: int) -> tuple[tuple[int, int], ...]:
-        mu = self.covectors[rho]
-        self[rho] = row = tuple(
-            (rp, c) for rp, v in self.outside if (c := sum(map(operator.mul, mu, v)))
-        )
-        return row
-
-
 class ConeAtlas:
-    """Integer data of a basic fan's top cones, each item computed once:
-    per top cone the integer inverse of the matrix whose columns are its
-    ray vectors (`vectors[r]` for ray r) and, read from it, the
-    coordinates of the rays outside the cone. Containing cones are looked
-    up by bitmasks of ray indices. Both engines read one atlas, so the
-    inverses of a fan are computed once."""
+    """Integer data of a basic fan's top cones, each item computed once.
+
+    `cone_for` finds the first top cone holding a ray set, given as a
+    bitmask of ray indices; it is the engines' one containment test. One
+    cache entry per top cone holds the integer inverse of the matrix
+    whose columns are its ray vectors (`vectors[r]` for ray r) and, read
+    from it row by row on first use, the coordinates of the rays outside
+    the cone. Both engines read one atlas, so the inverses of a fan are
+    computed once."""
 
     def __init__(self, vectors: Sequence[Sequence[int]], top_cones: Sequence[frozenset[int]]):
         self.vectors = tuple(tuple(v) for v in vectors)
         self.top_cones = tuple(top_cones)
         self._masks = tuple(sum(1 << r for r in c) for c in self.top_cones)
         self._containing: dict[int, int | None] = {}
-        self._inverses: dict[int, tuple[list[list[int]], tuple[int, ...]]] = {}
-        self._coordinates: dict[int, _CoordinateTable] = {}
+        self._cones: dict[int, tuple[list[list[int]], tuple[int, ...], tuple, dict]] = {}
 
     def cone_for(self, mask: int) -> int | None:
         """Index of the first top cone containing every ray of `mask`,
@@ -326,28 +303,27 @@ class ConeAtlas:
     def inverse(self, ci: int) -> tuple[list[list[int]], tuple[int, ...]]:
         """The cone's rays in increasing order, with the inverse whose
         row k is the covector dual to the k-th of them."""
-        got = self._inverses.get(ci)
+        got = self._cones.get(ci)
         if got is None:
             cols = tuple(sorted(self.top_cones[ci]))
             mat = [[self.vectors[r][j] for r in cols] for j in range(len(self.vectors[0]))]
-            got = (unimodular_inverse(mat), cols)
-            self._inverses[ci] = got
-        return got
-
-    def coordinates(self, ci: int) -> _CoordinateTable:
-        """Cone ci's coordinate table, read from its inverse; the keys of
-        its `covectors` are the cone's rays in increasing order."""
-        got = self._coordinates.get(ci)
-        if got is None:
-            inv, cols = self.inverse(ci)
-            outside = [(rp, v) for rp, v in enumerate(self.vectors) if rp not in cols]
-            got = self._coordinates[ci] = _CoordinateTable(dict(zip(cols, inv)), outside)
-        return got
+            outside = tuple((rp, v) for rp, v in enumerate(self.vectors) if rp not in cols)
+            got = self._cones[ci] = (unimodular_inverse(mat), cols, outside, {})
+        return got[:2]
 
     def terms(self, ci: int, rho: int) -> tuple[tuple[int, int], ...]:
-        """The covector dual to ray rho in cone ci on the rays outside the
-        cone, where it does not vanish: `coordinates(ci)[rho]`."""
-        return self.coordinates(ci)[rho]
+        """The covector dual to ray rho of cone ci on the rays outside the
+        cone, where it does not vanish: (rp, coeff) by increasing rp."""
+        try:
+            return self._cones[ci][3][rho]
+        except KeyError:
+            self.inverse(ci)
+            inv, cols, outside, rows = self._cones[ci]
+            mu = inv[cols.index(rho)]
+            row = rows[rho] = tuple(
+                (rp, c) for rp, v in outside if (c := sum(map(operator.mul, mu, v)))
+            )
+            return row
 
 
 def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> SystemSolution:
@@ -381,8 +357,8 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
         raise ValueError("the cone atlas does not describe the system's relations")
     keys = system.keys
     ones = keys.ones
-    admissible = system.admissible
     columns = system.columns
+    cone_for, terms = atlas.cone_for, atlas.terms
     solved = dict.fromkeys(columns.values(), 0)
     values: dict[int, int] = {}
     problems: list[str] = []
@@ -394,12 +370,12 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
         bumped = {
             rho: 1 if top else values[mkey + ones[rho]]
             for rho in range(n_rays)
-            if not supp >> rho & 1 and s | 1 << rho in admissible
+            if not supp >> rho & 1 and cone_for(supp | 1 << rho) is not None
         }
-        table = atlas.coordinates(atlas.cone_for(supp))
-        for ray_k in table.covectors:
+        ci = cone_for(supp)
+        for ray_k in atlas.inverse(ci)[1]:
             y = 0
-            for rp, coeff in table[ray_k]:
+            for rp, coeff in terms(ci, ray_k):
                 y -= coeff * bumped.get(rp, 0)
             if supp >> ray_k & 1:
                 ukey = mkey + ones[ray_k]
@@ -438,30 +414,14 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     )
 
 
-def squarefree_value(mono: Sequence[int], fan: Fan) -> int:
-    """1 if the support is exactly the ray set of a top cone, else 0.
-
-    Requires a square-free monomial of degree equal to the ambient
-    dimension, so the support always has full size.
-    """
-    if len(mono) != len(fan.rays):
-        raise ValueError("monomial length does not match the ray count")
-    if max(mono) > 1:
-        raise ValueError("monomial is not square-free")
-    if sum(mono) != fan.ambient:
-        raise ValueError("degree must equal the ambient dimension")
-    return 1 if frozenset(i for i, e in enumerate(mono) if e) in set(fan.top_cones) else 0
-
-
 class IntersectionEngine:
     """Both engines over one fan, reading one shared cone atlas.
 
     The recursive evaluator and the block solver find containing cones
     and cone coordinates in `atlas`, so each inverse is computed once per
-    engine; `keys` is the packing of the engine's linear system. The
-    linear system is assembled and solved lazily on first use. The verification suite rebuilds
-    every row from the raw relations, so a fault in the shared atlas
-    still shows.
+    engine. The linear system is assembled and solved lazily on first
+    use. The verification suite rebuilds every row from the raw
+    relations, so a fault in the shared atlas still shows.
     """
 
     def __init__(self, fan: Fan, e_index: int = 0):
@@ -470,7 +430,6 @@ class IntersectionEngine:
         self.fan = fan
         self.e_index = e_index
         self.atlas = ConeAtlas(fan.rays, fan.top_cones)
-        self.keys = MonomialKeys(len(fan.rays), fan.ambient)
         self._memo: dict[Monomial, int] = {}
         self._system: LinearSystem | None = None
         self._solution: SystemSolution | None = None
@@ -498,28 +457,35 @@ class IntersectionEngine:
             )
         return Fraction(sol.e_top)
 
-    def system_value(self, mono: Sequence[int]) -> int | None:
-        """Value according to the linear system: a solved unknown, a
-        square-free constant, or None if the monomial is not a column."""
-        key = tuple(mono)
-        n = self.fan.ambient
-        if max(key, default=0) <= 1 and sum(key) == n:
-            return squarefree_value(key, self.fan)
-        if len(key) != len(self.fan.rays) or min(key) < 0 or sum(key) != n:
-            return None
-        return self.solution.by_key.get(self.keys.pack(key))
-
-    def evaluate(self, mono: Sequence[int]) -> int:
-        """Recursive engine: exact value of any degree-n monomial with
-        positive exceptional exponent. Exponents must be integers;
-        anything else raises TypeError rather than being truncated."""
+    def _checked(self, mono: Sequence[int]) -> Monomial:
+        """`mono` as a tuple of ints, one per ray, nonnegative and of
+        degree equal to the ambient dimension. Exponents must be
+        integers; anything else raises TypeError rather than being
+        truncated."""
         key = tuple(map(operator.index, mono))
         if len(key) != len(self.fan.rays):
             raise ValueError("monomial length does not match the ray count")
-        if any(x < 0 for x in key):
+        if min(key) < 0:
             raise ValueError("negative exponents are not allowed")
         if sum(key) != self.fan.ambient:
             raise ValueError("degree must equal the ambient dimension")
+        return key
+
+    def system_value(self, mono: Sequence[int]) -> int | None:
+        """Value according to the linear system: a square-free constant
+        (1 on the ray set of a top cone, else 0), a solved unknown, or
+        None if the monomial is not a column."""
+        key = self._checked(mono)
+        if max(key) <= 1:
+            # n rays inside an n-ray cone are its ray set.
+            return int(self.atlas.cone_for(sum(1 << i for i, x in enumerate(key) if x)) is not None)
+        return self.solution.by_key.get(self.system.keys.pack(key))
+
+    def evaluate(self, mono: Sequence[int]) -> int:
+        """Recursive engine: exact value of any degree-n monomial with
+        positive exceptional exponent, checked as `system_value` checks
+        it."""
+        key = self._checked(mono)
         if key[self.e_index] < 1:
             raise UnsupportedMonomialError(
                 "the recursive engine only evaluates monomials with a "

@@ -268,32 +268,32 @@ def test_verify_fault_injection(capsys, monkeypatch):
     )
 
 
-def test_corrupted_shared_inverse_fails_verify(capsys, monkeypatch, star, stabilizer):
-    engine = IntersectionEngine(star.fan, star.e_index)
-    inv, _ = engine.atlas.inverse(0)
+def _corrupt_inverse(atlas, monkeypatch):
+    inv, _ = atlas.inverse(0)
     inv[0][0] += 1
-    # verify hands this engine to run_all. Both engines read the corrupted
-    # inverse, but the row sweep rebuilds every row from the raw relations.
-    monkeypatch.setattr(cli, "_context", lambda: (star, stabilizer, engine))
-    code = main(["verify", "--reproducible"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert any(l.startswith("[FAIL] engine_agreement") for l in out.splitlines())
 
 
-def test_corrupted_shared_coordinates_fail_verify(capsys, monkeypatch, star, stabilizer):
+def _corrupt_terms(atlas, monkeypatch):
+    # The E-coordinate in cone 0 of the first ray outside it.
+    (rp, coeff), *rest = atlas.terms(0, 0)
+    corrupted = ((rp, coeff + 1), *rest)
+    terms = atlas.terms
+    monkeypatch.setattr(
+        atlas, "terms", lambda ci, rho: corrupted if (ci, rho) == (0, 0) else terms(ci, rho)
+    )
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_inverse, _corrupt_terms], ids=["inverse", "terms"])
+def test_corrupted_atlas_fails_verify(capsys, monkeypatch, star, stabilizer, corrupt):
     engine = IntersectionEngine(star.fan, star.e_index)
-    # One entry of the atlas's coordinate table: the E-coordinate in cone
-    # 0 of the first ray outside it, which both engines read.
-    table = engine.atlas.coordinates(0)
-    (rp, coeff), *rest = table[0]
-    table[0] = ((rp, coeff + 1), *rest)
+    corrupt(engine.atlas, monkeypatch)
+    # verify hands this engine to run_all. Both engines read the corrupted
+    # atlas, but the row sweep rebuilds every row from the raw relations,
+    # so it names a row that the corrupted values break.
     monkeypatch.setattr(cli, "_context", lambda: (star, stabilizer, engine))
     code = main(["verify", "--reproducible"])
     out = capsys.readouterr().out
     assert code == 1
-    # The row sweep rebuilds every row from the raw relations, so it names
-    # a row that the corrupted values break.
     line = next(l for l in out.splitlines() if l.startswith("[FAIL] engine_agreement"))
     assert re.search(r"first nonzero row: E\S* times relation \d+$", line)
 

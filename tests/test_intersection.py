@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from a4toric.intersection import (
     format_monomial,
     parse_monomial,
     solve_system,
-    squarefree_value,
 )
 from a4toric.verify import plane_blowup_fan, projective_plane_fan, run_all
 
@@ -33,6 +33,12 @@ N_ROWS = 33110
 
 def _bump(mono, i):
     return mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+
+
+def _squarefree(mono, fan):
+    """A square-free degree-n monomial: 1 if its support is the ray set
+    of a top cone, else 0."""
+    return int(frozenset(k for k, e in enumerate(mono) if e) in fan.top_cones)
 
 
 def test_parse_monomial_examples():
@@ -77,22 +83,17 @@ def test_build_relations():
     assert rels[1].coefficients == (0, 1, -1)
 
 
-def test_squarefree_value(star):
-    fan = star.fan
+def test_squarefree_value(star, engine):
     facet = star.facets[0]
     cone_mono = tuple(
         1 if i == 0 or (i - 1) in facet.incident else 0 for i in range(13)
     )
-    assert squarefree_value(cone_mono, fan) == 1
+    assert engine.system_value(cone_mono) == engine.evaluate(cone_mono) == 1
     # Ten boundary rays without the barycenter never fit in a top cone.
     no_eta = (0,) + tuple(1 if i < 10 else 0 for i in range(12))
-    assert squarefree_value(no_eta, fan) == 0
+    assert engine.system_value(no_eta) == 0
     with pytest.raises(ValueError):
-        squarefree_value((1,) * 10, fan)
-    with pytest.raises(ValueError):
-        squarefree_value((2,) + (1,) * 8 + (0,) * 4, fan)
-    with pytest.raises(ValueError):
-        squarefree_value((1,) * 9 + (0,) * 4, fan)
+        engine.system_value((1,) * 9 + (0,) * 4)
 
 
 def test_assemble_system_shape(engine):
@@ -101,19 +102,12 @@ def test_assemble_system_shape(engine):
     assert system.n_unknowns == N_UNKNOWNS
     assert system.n_rows == N_ROWS
     assert len(system.relations) == 10
-    # The largest admissible supports are the 64 cones through E, less E,
-    # held as ray bitmasks without E's bit.
-    assert sum(s.bit_count() == 9 for s in system.admissible) == 64
-    assert max(s.bit_count() for s in system.admissible) == 9
-    assert not any(s & 1 for s in system.admissible)
-    cones = {sum(1 << r for r in c) ^ 1 for c in engine.fan.top_cones}
-    assert {s for s in system.admissible if s.bit_count() == 9} == cones
     rng = random.Random(11)
     for mult in rng.sample(system.multipliers, 25):
         assert sum(mult) == 9
         assert mult[0] >= 1
         assert all(e <= 1 for e in mult[1:])
-    for mono in rng.sample(sorted(system.unknown_index), 25):
+    for mono in rng.sample(sorted(map(system.keys.unpack, system.columns)), 25):
         assert sum(mono) == 10
         assert mono[0] >= 1
         repeated = [e for e in mono[1:] if e >= 2]
@@ -142,7 +136,7 @@ def test_solve_system(engine):
     assert sol.rank == N_UNKNOWNS
     assert sol.free_columns == ()
     assert len(sol.values) == N_UNKNOWNS
-    assert set(sol.values) == set(engine.system.unknown_index)
+    assert set(sol.values) == set(map(engine.system.keys.unpack, engine.system.columns))
     assert all(isinstance(v, int) for v in sol.values.values())
     assert engine.e_top == Fraction(E_TOP)
 
@@ -173,7 +167,7 @@ def _known(fan, values):
 
     def known(mono):
         if all(e <= 1 for e in mono):
-            return squarefree_value(mono, fan)
+            return _squarefree(mono, fan)
         got = values.get(mono)
         if got is not None:
             return got
@@ -225,7 +219,7 @@ def _assert_matches_its_block(engine, mono):
     its last repeated ray, given evaluate's values outside that block."""
     value = engine.evaluate(mono)
     if max(mono) <= 1:
-        assert value == squarefree_value(mono, engine.fan)
+        assert value == _squarefree(mono, engine.fan)
         return
     r = max(k for k, e in enumerate(mono) if e >= 2)
     mult = mono[:r] + (mono[r] - 1,) + mono[r + 1 :]
@@ -242,7 +236,7 @@ def test_field_edges_match_dense_elimination(engines, name):
         for k in range(1, n_rays)
     ]
     for mono in edges:
-        assert engine.keys.unpack(engine.keys.pack(mono)) == mono
+        assert engine.system.keys.unpack(engine.system.keys.pack(mono)) == mono
         _assert_matches_its_block(engine, mono)
     assert engine.evaluate(edges[0]) == engine.e_top
 
@@ -286,6 +280,42 @@ def test_system_value(engine):
     assert engine.system_value(facet_mono) == 1
     missing = (6, 2, 2) + (0,) * 10
     assert engine.system_value(missing) is None
+    # The arguments are checked as evaluate checks them.
+    with pytest.raises(ValueError, match="length"):
+        engine.system_value((10,))
+    with pytest.raises(ValueError, match="length"):
+        engine.system_value((1,) * 10)
+    with pytest.raises(ValueError, match="negative"):
+        engine.system_value((11, -1) + (0,) * 11)
+    with pytest.raises(ValueError, match="degree"):
+        engine.system_value((9,) + (0,) * 12)
+    with pytest.raises(TypeError):
+        engine.system_value((9.5, 0.5) + (0,) * 11)
+
+
+@pytest.mark.parametrize("name", ["D4", "A2", "A3"])
+def test_blocks_partition_the_rows(engines, name):
+    # The multipliers, built here from the top cones alone: E at least
+    # once and a square-free divisor part whose support, with E, lies in
+    # a top cone. Each multiplier is one block of one row per relation:
+    # no repeats, equality with this set and n_rows = multipliers x
+    # relations together put each (multiplier, relation) row in exactly
+    # one block.
+    engine = engines[name]
+    fan, e, system = engine.fan, engine.e_index, engine.system
+    n, n_rays = fan.ambient, len(fan.rays)
+    divisors = [r for r in range(n_rays) if r != e]
+    want = set()
+    for t in range(n - 1):
+        for rays in itertools.combinations(divisors, t):
+            if any({e, *rays} <= cone for cone in fan.top_cones):
+                want.add(tuple(n - 1 - t if r == e else int(r in rays) for r in range(n_rays)))
+    multipliers = system.multipliers
+    assert len(set(multipliers)) == len(multipliers)
+    assert set(multipliers) == want
+    assert system.n_rows == len(multipliers) * len(system.relations)
+    if name == "D4":
+        assert len(want) == N_MULTIPLIERS
 
 
 def test_projective_plane_both_engines():
@@ -297,8 +327,7 @@ def test_projective_plane_both_engines():
         assert eng.e_top == 1
         assert eng.system.n_unknowns == 1
         assert eng.solution.values[top] == 1
-    assert squarefree_value((1, 1, 0), fan) == 1
-    assert squarefree_value((0, 1, 1), fan) == 1
+        assert eng.system_value((1, 1, 0)) == eng.system_value((0, 1, 1)) == 1
 
 
 def test_plane_blowup_both_engines():
@@ -308,7 +337,7 @@ def test_plane_blowup_both_engines():
     assert eng.e_top == -1
     assert eng.evaluate((1, 0, 1)) == 1
     assert eng.evaluate((0, 1, 1)) == 1
-    assert squarefree_value((1, 1, 0), fan) == 0
+    assert eng.system_value((1, 1, 0)) == 0
     assert IntersectionEngine(fan, 2).evaluate((0, 0, 2)) == -1
 
 
@@ -386,7 +415,7 @@ def test_column_solved_twice_is_a_problem():
 def test_extra_column_fails_uniqueness_check(star, stabilizer):
     eng = IntersectionEngine(star.fan, star.e_index)
     columns = eng.system.columns
-    columns[eng.keys.pack((6, 2, 2) + (0,) * 10)] = len(columns)
+    columns[eng.system.keys.pack((6, 2, 2) + (0,) * 10)] = len(columns)
     assert eng.solution.free_columns == (N_UNKNOWNS,)
     assert eng.solution.rank == N_UNKNOWNS
     report = run_all(star=star, stabilizer=stabilizer, engine=eng)
