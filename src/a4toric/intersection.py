@@ -276,54 +276,83 @@ class SystemSolution:
 class ConeAtlas:
     """Integer data of a basic fan's top cones, each item computed once.
 
-    `cone_for` finds the first top cone holding a ray set, given as a
-    bitmask of ray indices; it is the engines' one containment test. One
-    cache entry per top cone holds the integer inverse of the matrix
-    whose columns are its ray vectors (`vectors[r]` for ray r) and, read
-    from it row by row on first use, the coordinates of the rays outside
-    the cone. Both engines read one atlas, so the inverses of a fan are
-    computed once."""
+    `holders[r]` is the bitmask of the top cones holding ray r, so the
+    cones holding a ray set, given as a bitmask of ray indices, are the
+    AND of its rays' masks (`holding`). `cone_for` memoizes the first of
+    them; it is the engines' one containment test. One cache entry per
+    top cone holds the integer inverse of the matrix whose columns are
+    its ray vectors (`vectors[r]` for ray r) and, read from it row by row
+    on first use, the coordinates of the rays outside the cone. Both
+    engines read one atlas, so the inverses of a fan are computed once."""
 
     def __init__(self, vectors: Sequence[Sequence[int]], top_cones: Sequence[frozenset[int]]):
         self.vectors = tuple(tuple(v) for v in vectors)
         self.top_cones = tuple(top_cones)
-        self._masks = tuple(sum(1 << r for r in c) for c in self.top_cones)
+        self.holders = tuple(
+            sum(1 << ci for ci, c in enumerate(self.top_cones) if r in c)
+            for r in range(len(self.vectors))
+        )
         self._containing: dict[int, int | None] = {}
         self._cones: dict[int, tuple[list[list[int]], tuple[int, ...], tuple, dict]] = {}
+
+    def holding(self, mask: int) -> int:
+        """Bitmask of the top cones containing every ray of `mask`."""
+        holders = self.holders
+        if mask >> len(holders):
+            return 0
+        held = (1 << len(self.top_cones)) - 1
+        while mask and held:
+            low = mask & -mask
+            held &= holders[low.bit_length() - 1]
+            mask ^= low
+        return held
 
     def cone_for(self, mask: int) -> int | None:
         """Index of the first top cone containing every ray of `mask`,
         or None if no top cone does."""
         got = self._containing.get(mask, -1)
         if got == -1:
-            got = next((ci for ci, cm in enumerate(self._masks) if not mask & ~cm), None)
-            self._containing[mask] = got
+            held = self.holding(mask)
+            got = self._containing[mask] = (held & -held).bit_length() - 1 if held else None
         return got
 
-    def inverse(self, ci: int) -> tuple[list[list[int]], tuple[int, ...]]:
-        """The cone's rays in increasing order, with the inverse whose
-        row k is the covector dual to the k-th of them."""
+    def _entry(self, ci: int) -> tuple[list[list[int]], tuple[int, ...], tuple, dict]:
         got = self._cones.get(ci)
         if got is None:
             cols = tuple(sorted(self.top_cones[ci]))
             mat = [[self.vectors[r][j] for r in cols] for j in range(len(self.vectors[0]))]
             outside = tuple((rp, v) for rp, v in enumerate(self.vectors) if rp not in cols)
-            got = self._cones[ci] = (unimodular_inverse(mat), cols, outside, {})
-        return got[:2]
+            got = self._cones[ci] = (unimodular_inverse(mat), cols, outside, dict.fromkeys(cols))
+        return got
+
+    def inverse(self, ci: int) -> tuple[list[list[int]], tuple[int, ...]]:
+        """The cone's rays in increasing order, with the inverse whose
+        row k is the covector dual to the k-th of them."""
+        return self._entry(ci)[:2]
 
     def terms(self, ci: int, rho: int) -> tuple[tuple[int, int], ...]:
         """The covector dual to ray rho of cone ci on the rays outside the
         cone, where it does not vanish: (rp, coeff) by increasing rp."""
         try:
-            return self._cones[ci][3][rho]
+            row = self._cones[ci][3][rho]
         except KeyError:
-            self.inverse(ci)
+            row = self._entry(ci)[3][rho]
+        if row is None:
             inv, cols, outside, rows = self._cones[ci]
             mu = inv[cols.index(rho)]
             row = rows[rho] = tuple(
                 (rp, c) for rp, v in outside if (c := sum(map(operator.mul, mu, v)))
             )
-            return row
+        return row
+
+    def rows(self, ci: int) -> dict[int, tuple[tuple[int, int], ...]]:
+        """`terms(ci, rho)` for every ray rho of cone ci, keyed by rho in
+        increasing order: the cone's own entry, filled where it is not."""
+        rows = self._entry(ci)[3]
+        if None in rows.values():
+            for rho in rows:
+                self.terms(ci, rho)
+        return rows
 
 
 def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> SystemSolution:
@@ -358,24 +387,28 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     keys = system.keys
     ones = keys.ones
     columns = system.columns
-    cone_for, terms = atlas.cone_for, atlas.terms
+    holders, holding, rows = atlas.holders, atlas.holding, atlas.rows
     solved = dict.fromkeys(columns.values(), 0)
     values: dict[int, int] = {}
     problems: list[str] = []
     for mkey, s in reversed(system.blocks):
         supp = s | 1 << e
         top = s.bit_count() == n - 2
+        # The top cones holding the support; the block is solved in the
+        # first of them.
+        held = holding(supp)
+        if not held:
+            raise ValueError(f"block {format_monomial(keys.unpack(mkey))} lies in no top cone")
         # The multiplier bumped by each ray outside the support; a bump
         # whose support lies in no top cone is 0 and left out.
         bumped = {
             rho: 1 if top else values[mkey + ones[rho]]
             for rho in range(n_rays)
-            if not supp >> rho & 1 and cone_for(supp | 1 << rho) is not None
+            if not supp >> rho & 1 and held & holders[rho]
         }
-        ci = cone_for(supp)
-        for ray_k in atlas.inverse(ci)[1]:
+        for ray_k, row in rows((held & -held).bit_length() - 1).items():
             y = 0
-            for rp, coeff in terms(ci, ray_k):
+            for rp, coeff in row:
                 y -= coeff * bumped.get(rp, 0)
             if supp >> ray_k & 1:
                 ukey = mkey + ones[ray_k]

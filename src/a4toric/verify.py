@@ -10,12 +10,14 @@ approximates: a check passes only on exact equality.
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .cones import Cone, Fan, enumerate_facets
 from .d4fan import StarFan, Stabilizer, build_star_fan
@@ -224,9 +226,195 @@ def _oracle_cones() -> list[Cone]:
     ]
 
 
-def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -> VerifyReport:
-    """Run the full check suite over a built fan, its stabilizer and an
-    engine on that fan, and return one result per criterion."""
+class _Worker:
+    """`fn(*args)` run in a forked process while the calling process goes on.
+
+    The fork inherits everything fn reads, so nothing is sent to the
+    worker; only fn's outcome comes back, pickled over a pipe. `join`
+    waits for it and returns fn's result, or raises fn's exception with
+    its type. The worker never prints and ends with `os._exit`, so it
+    runs no exit handler and flushes no buffer it inherited. Leaving the
+    with block reaps the worker, killing it first if it was not joined.
+    Where `os.fork` does not exist, `join` calls fn in this process.
+    A fork copies only the calling thread, so the caller must start no
+    thread of its own; the command line and the tests start none.
+    """
+
+    def __init__(self, fn, *args):
+        self.fn, self.args, self.pid = fn, args, None
+        if hasattr(os, "fork"):
+            sys.stdout.flush()
+            sys.stderr.flush()
+            self.fd, write = os.pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                os.close(self.fd)
+                _serve(write, fn, args)
+            os.close(write)
+
+    def __enter__(self) -> _Worker:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pid is not None:
+            import signal
+
+            os.close(self.fd)
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    def join(self):
+        if self.pid is None:
+            return self.fn(*self.args)
+        import pickle
+
+        pid, self.pid = self.pid, None
+        try:
+            with open(self.fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if not data:
+            raise RuntimeError(f"the verify worker ended without a result, exit status {status}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+
+def _serve(fd: int, fn, args) -> NoReturn:
+    """The worker's whole life: run fn, write its pickled outcome to fd
+    and end without running any exit handler."""
+    try:
+        import pickle
+
+        try:
+            outcome = (True, fn(*args))
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)
+        except Exception:
+            # An outcome that does not survive pickling is sent as text.
+            data = pickle.dumps((False, RuntimeError(f"{type(outcome[1]).__name__}: {outcome[1]}")))
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _fan_payload(s: StarFan) -> str:
+    return json.dumps(
+        {
+            "rays": [list(r) for r in s.fan.rays],
+            "cones": sorted(sorted(c) for c in s.fan.top_cones),
+            "facets": [[list(f.normal), sorted(f.incident)] for f in s.facets],
+        }
+    )
+
+
+def _independent_checks(
+    star: StarFan, stabilizer: Stabilizer
+) -> tuple[CheckResult, CheckResult, CheckResult, tuple[bool, int, bool]]:
+    """Checks 4, 5 and 9, and check 10's rebuild: the work of verify
+    that reads nothing the block solve of the engine under test makes.
+
+    The rebuild comes back as whether it reproduces the fan and its
+    rendering, with its own E^n and consistency for the caller to
+    compare with the engine's solution.
+    """
+    # 4. Fan combinatorics.
+    fan_ok = (
+        len(star.ray_vectors) == EXPECTED_RAY_COUNT
+        and len(star.facets) == EXPECTED_FACET_COUNT
+        and all(len(f.incident) == 9 for f in star.facets)
+        and len(star.fan.top_cones) == EXPECTED_FACET_COUNT
+        and all(
+            abs(int_det([star.fan.rays[i] for i in sorted(c)])) == 1
+            for c in star.fan.top_cones
+        )
+    )
+    fan_check = _check(
+        "fan_combinatorics",
+        "ray, facet, and cone counts of the subdivided cone, every facet with "
+        "nine rays and every cone basic",
+        f"rays {EXPECTED_RAY_COUNT}, facets {EXPECTED_FACET_COUNT} (9 rays each), "
+        f"cones {EXPECTED_FACET_COUNT} (all |det| 1)",
+        (
+            f"rays {len(star.ray_vectors)}, facets {len(star.facets)} "
+            f"({'9 rays each' if all(len(f.incident) == 9 for f in star.facets) else 'ragged'}), "
+            f"cones {len(star.fan.top_cones)} "
+            f"({'all |det| 1' if fan_ok else 'non-basic cone present'})"
+        ),
+    )
+
+    # 5. Stabilizer order, counted as distinct matrices, and cone permutation.
+    permutes = _permutes_facets(
+        len(star.ray_vectors), [f.incident for f in star.facets], stabilizer
+    )
+    stabilizer_check = _check(
+        "stabilizer",
+        "order of the automorphism group of the quartic form, every element "
+        "permuting the top cones",
+        f"{EXPECTED_STABILIZER_ORDER} (permutes cones)",
+        f"{stabilizer.order} ({'permutes cones' if permutes else 'does not permute cones'})",
+    )
+
+    # 9. Embedded oracle suites.
+    oracle_problems: list[str] = []
+    for cone in _oracle_cones():
+        direct = frozenset((f.normal, f.incident) for f in enumerate_facets(cone))
+        scanned = _facets_by_subset_scan(cone)
+        if direct != scanned:
+            oracle_problems.append(f"facet oracle disagrees on {cone.generators}")
+    rng = random.Random(271828)
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if int_det(mat) != _cofactor_det(mat):
+                oracle_problems.append(f"determinant oracle disagrees on {mat}")
+    for n in range(1, 21):
+        residual = sum(comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
+        if residual != 0:
+            oracle_problems.append(f"Bernoulli recurrence fails at n={n}")
+    for n in range(2, 21, 2):
+        denom = 1
+        for p in range(2, n + 2):
+            if all(p % q for q in range(2, p)) and n % (p - 1) == 0:
+                denom *= p
+        if bernoulli(n).denominator != denom:
+            oracle_problems.append(f"von Staudt-Clausen denominator fails at n={n}")
+    for name, fan, e_index, expected in (
+        ("projective plane", projective_plane_fan(), 0, 1),
+        ("plane blow-up", plane_blowup_fan(), 2, -1),
+    ):
+        toy = IntersectionEngine(fan, e_index)
+        top = tuple(
+            fan.ambient if i == e_index else 0 for i in range(len(fan.rays))
+        )
+        if toy.evaluate(top) != expected or toy.e_top != expected:
+            oracle_problems.append(f"toy fan {name} disagrees with {expected}")
+    oracle_check = _check_flag(
+        "oracle_suites",
+        "facet enumeration vs subset scan, determinant vs cofactor expansion, "
+        "Bernoulli recurrence and von Staudt-Clausen denominators, toy-fan "
+        "self-intersections via both engines",
+        not oracle_problems,
+        "; ".join(oracle_problems[:3]),
+    )
+
+    # 10, first half: an independent rebuild and re-solve.
+    fresh_star = build_star_fan()
+    fresh = IntersectionEngine(fresh_star.fan, fresh_star.e_index).solution
+    same = fresh_star.fan == star.fan and _fan_payload(star) == _fan_payload(fresh_star)
+    return fan_check, stabilizer_check, oracle_check, (same, fresh.e_top, fresh.consistent)
+
+
+def _engine_checks(stabilizer: Stabilizer, engine: IntersectionEngine) -> list[CheckResult]:
+    """Checks 1-3 and 6-8: the tables, and the engine's block solve and
+    row sweep."""
     faber = FaberData.default()
     checks: list[CheckResult] = []
 
@@ -277,48 +465,6 @@ def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -
             "deeper boundary)",
             closure_frozen and ok_derived and vanishing,
             "; ".join(detail),
-        )
-    )
-
-    # 4. Fan combinatorics.
-    fan_ok = (
-        len(star.ray_vectors) == EXPECTED_RAY_COUNT
-        and len(star.facets) == EXPECTED_FACET_COUNT
-        and all(len(f.incident) == 9 for f in star.facets)
-        and len(star.fan.top_cones) == EXPECTED_FACET_COUNT
-        and all(
-            abs(int_det([star.fan.rays[i] for i in sorted(c)])) == 1
-            for c in star.fan.top_cones
-        )
-    )
-    checks.append(
-        _check(
-            "fan_combinatorics",
-            "ray, facet, and cone counts of the subdivided cone, every facet with "
-            "nine rays and every cone basic",
-            f"rays {EXPECTED_RAY_COUNT}, facets {EXPECTED_FACET_COUNT} (9 rays each), "
-            f"cones {EXPECTED_FACET_COUNT} (all |det| 1)",
-            (
-                f"rays {len(star.ray_vectors)}, facets {len(star.facets)} "
-                f"({'9 rays each' if all(len(f.incident) == 9 for f in star.facets) else 'ragged'}), "
-                f"cones {len(star.fan.top_cones)} "
-                f"({'all |det| 1' if fan_ok else 'non-basic cone present'})"
-            ),
-        )
-    )
-
-    # 5. Stabilizer order, counted as distinct matrices, and cone permutation.
-    order = stabilizer.order
-    permutes = _permutes_facets(
-        len(star.ray_vectors), [f.incident for f in star.facets], stabilizer
-    )
-    checks.append(
-        _check(
-            "stabilizer",
-            "order of the automorphism group of the quartic form, every element "
-            "permuting the top cones",
-            f"{EXPECTED_STABILIZER_ORDER} (permutes cones)",
-            f"{order} ({'permutes cones' if permutes else 'does not permute cones'})",
         )
     )
 
@@ -387,6 +533,7 @@ def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -
 
     # 8. Second compactification table, both factors computed. A group
     # with no elements leaves the corner undefined, which fails the check.
+    order = stabilizer.order
     actual = f"no corner: group order {order}"
     if order:
         corner = Fraction(sol.e_top, order)
@@ -414,80 +561,33 @@ def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -
         )
     )
 
-    # 9. Embedded oracle suites.
-    oracle_problems: list[str] = []
-    for cone in _oracle_cones():
-        direct = frozenset((f.normal, f.incident) for f in enumerate_facets(cone))
-        scanned = _facets_by_subset_scan(cone)
-        if direct != scanned:
-            oracle_problems.append(f"facet oracle disagrees on {cone.generators}")
-    rng = random.Random(271828)
-    for n in (1, 2, 3, 4):
-        for _ in range(8):
-            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if int_det(mat) != _cofactor_det(mat):
-                oracle_problems.append(f"determinant oracle disagrees on {mat}")
-    for n in range(1, 21):
-        residual = sum(comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
-        if residual != 0:
-            oracle_problems.append(f"Bernoulli recurrence fails at n={n}")
-    for n in range(2, 21, 2):
-        denom = 1
-        for p in range(2, n + 2):
-            if all(p % q for q in range(2, p)) and n % (p - 1) == 0:
-                denom *= p
-        if bernoulli(n).denominator != denom:
-            oracle_problems.append(f"von Staudt-Clausen denominator fails at n={n}")
-    for name, fan, e_index, expected in (
-        ("projective plane", projective_plane_fan(), 0, 1),
-        ("plane blow-up", plane_blowup_fan(), 2, -1),
-    ):
-        toy = IntersectionEngine(fan, e_index)
-        top = tuple(
-            fan.ambient if i == e_index else 0 for i in range(len(fan.rays))
-        )
-        if toy.evaluate(top) != expected or toy.e_top != expected:
-            oracle_problems.append(f"toy fan {name} disagrees with {expected}")
-    checks.append(
-        _check_flag(
-            "oracle_suites",
-            "facet enumeration vs subset scan, determinant vs cofactor expansion, "
-            "Bernoulli recurrence and von Staudt-Clausen denominators, toy-fan "
-            "self-intersections via both engines",
-            not oracle_problems,
-            "; ".join(oracle_problems[:3]),
-        )
-    )
+    return checks
+
+
+def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -> VerifyReport:
+    """Run the full check suite over a built fan, its stabilizer and an
+    engine on that fan, and return one result per criterion.
+
+    Checks 4, 5 and 9 and the rebuild of check 10 read only `star`,
+    `stabilizer` and fresh builds, so a forked worker runs them while
+    this process solves and sweeps the engine for checks 1-3 and 6-8.
+    """
+    with _Worker(_independent_checks, star, stabilizer) as worker:
+        own = _engine_checks(stabilizer, engine)
+        fan_check, stabilizer_check, oracle_check, rebuilt = worker.join()
 
     # 10. Determinism: a fresh rebuild reproduces the headline numbers and
     # serialization is stable. Byte-identity of the full command output is
     # asserted again end to end by the acceptance tests.
-    fresh_star = build_star_fan()
-    fresh_engine = IntersectionEngine(fresh_star.fan, fresh_star.e_index)
-    fresh_same = (
-        fresh_star.fan == star.fan
-        and fresh_engine.solution.e_top == sol.e_top
-        and fresh_engine.solution.consistent == sol.consistent
+    same, fresh_e_top, fresh_consistent = rebuilt
+    sol = engine.solution
+    determinism_check = _check_flag(
+        "determinism",
+        "an independent rebuild reproduces the fan and the solved system "
+        "exactly, and rendering the report twice is byte-identical",
+        same and fresh_e_top == sol.e_top and fresh_consistent == sol.consistent,
+        "rebuild or rendering drifted",
     )
-
-    def _fan_payload(s: StarFan) -> str:
-        return json.dumps(
-            {
-                "rays": [list(r) for r in s.fan.rays],
-                "cones": sorted(sorted(c) for c in s.fan.top_cones),
-                "facets": [[list(f.normal), sorted(f.incident)] for f in s.facets],
-            }
-        )
-
-    render_same = _fan_payload(star) == _fan_payload(fresh_star)
-    checks.append(
-        _check_flag(
-            "determinism",
-            "an independent rebuild reproduces the fan and the solved system "
-            "exactly, and rendering the report twice is byte-identical",
-            fresh_same and render_same,
-            "rebuild or rendering drifted",
-        )
+    return VerifyReport(
+        (*own[:3], fan_check, stabilizer_check, *own[3:], oracle_check, determinism_check)
     )
-
-    return VerifyReport(tuple(checks))

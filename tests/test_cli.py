@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import re
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from a4toric import cli
+from a4toric import cli, verify
+from a4toric.cones import Fan
+from a4toric.d4fan import FanConstructionError
 from a4toric.cli import main
 from a4toric.intersection import IntersectionEngine
 from a4toric.tables import FaberData
@@ -268,19 +271,46 @@ def test_verify_fault_injection(capsys, monkeypatch):
     )
 
 
+def test_verify_reports_a_worker_failure(capsys, monkeypatch):
+    # Check 10's rebuild runs in the worker process; its exception comes
+    # back with its type, and verify reports it as a failed computation.
+    def broken(*args, **kwargs):
+        raise FanConstructionError("rebuild broken")
+
+    monkeypatch.setattr(verify, "build_star_fan", broken)
+    code, out, err = run_cli(capsys, ["verify"])
+    assert code == 1
+    assert out == ""
+    assert err == "computation failed: rebuild broken\n"
+
+
+def test_verify_fails_determinism_on_a_changed_rebuild(capsys, monkeypatch):
+    build = verify.build_star_fan
+
+    def moved(*args, **kwargs):
+        fresh = build(*args, **kwargs)
+        rays = (fresh.fan.rays[0], tuple(-x for x in fresh.fan.rays[1])) + fresh.fan.rays[2:]
+        return dataclasses.replace(fresh, fan=Fan(rays, fresh.fan.top_cones))
+
+    monkeypatch.setattr(verify, "build_star_fan", moved)
+    code, out, _ = run_cli(capsys, ["verify", "--reproducible"])
+    assert code == 1
+    failing = [l for l in out.splitlines() if l.startswith("[FAIL]")]
+    assert failing == ["[FAIL] determinism: expected ok; got rebuild or rendering drifted"]
+
+
 def _corrupt_inverse(atlas, monkeypatch):
     inv, _ = atlas.inverse(0)
     inv[0][0] += 1
 
 
 def _corrupt_terms(atlas, monkeypatch):
-    # The E-coordinate in cone 0 of the first ray outside it.
-    (rp, coeff), *rest = atlas.terms(0, 0)
-    corrupted = ((rp, coeff + 1), *rest)
-    terms = atlas.terms
-    monkeypatch.setattr(
-        atlas, "terms", lambda ci, rho: corrupted if (ci, rho) == (0, 0) else terms(ci, rho)
-    )
+    # The E-coordinate in cone 0 of the first ray outside it, changed in
+    # the cone's one cache entry: the block solve reads its rows whole
+    # and the evaluator one at a time.
+    rows = atlas.rows(0)
+    (rp, coeff), *rest = rows[0]
+    rows[0] = ((rp, coeff + 1), *rest)
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_inverse, _corrupt_terms], ids=["inverse", "terms"])
@@ -345,3 +375,21 @@ def test_subprocess_smoke(cli_env):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert as_fraction(doc["results"]["variety_value"]) == Fraction(1, 907200)
+
+
+def test_fan_report_imports_no_worker_machinery(cli_env):
+    # `fan report` and the import of the command line pay for every module
+    # the package loads; the verify worker's pickling is loaded only when
+    # verify joins it.
+    code = (
+        "import contextlib, io, sys\n"
+        "import a4toric.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert a4toric.cli.main(['fan', 'report']) == 0\n"
+        "print(sorted({'pickle', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=cli_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -393,6 +393,19 @@ def test_cone_for_finds_first_containing_cone(star):
     assert atlas.cone_for(sum(1 << r for r in range(1, 11))) is None
 
 
+def test_cone_bitsets_match_a_scan_of_every_ray_set(star):
+    atlas = ConeAtlas(star.fan.rays, star.fan.top_cones)
+    n_rays = len(star.fan.rays)
+    for mask in range(1 << n_rays):
+        rays = {r for r in range(n_rays) if mask >> r & 1}
+        holding = [ci for ci, c in enumerate(star.fan.top_cones) if rays <= c]
+        assert atlas.holding(mask) == sum(1 << ci for ci in holding)
+        assert atlas.cone_for(mask) == (holding[0] if holding else None)
+    # A ray index past the fan's rays lies in no cone.
+    assert atlas.holding(1 << n_rays | 1) == 0
+    assert atlas.cone_for(1 << n_rays) is None
+
+
 def test_unsolved_column_is_free():
     system = assemble_system(plane_blowup_fan(), e_index=2)
     system.columns[system.keys.pack((1, 1, 0))] = 1

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
 
 import pytest
 
-from a4toric.d4fan import Stabilizer
+from a4toric import verify
+from a4toric.d4fan import FanConstructionError, Stabilizer
 from a4toric.intersection import (
     IntersectionEngine,
     LinearRelation,
@@ -119,3 +121,52 @@ def test_inconsistent_system_names_its_first_problem(star, stabilizer):
     check = _check(run_all(star, stabilizer, eng), "exceptional_top_power")
     assert not check.passed
     assert check.actual == f"-1680 (inconsistent, unique); first problem: {problems[0]}"
+
+
+def _assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_leaves_no_process(star, stabilizer, engine):
+    assert run_all(star, stabilizer, engine).all_passed
+    _assert_no_child()
+
+
+def test_run_all_without_fork_runs_in_process(star, stabilizer, engine, monkeypatch):
+    forked = run_all(star, stabilizer, engine)
+    monkeypatch.delattr(os, "fork")
+    assert run_all(star, stabilizer, engine) == forked
+    _assert_no_child()
+
+
+def test_run_all_reaps_the_worker_when_a_calling_check_raises(
+    star, stabilizer, engine, monkeypatch
+):
+    # Check 1 runs in the calling process while the worker still runs.
+    def broken(genus):
+        raise RuntimeError("l_top broken")
+
+    monkeypatch.setattr(verify, "l_top", broken)
+    with pytest.raises(RuntimeError, match="l_top broken"):
+        run_all(star, stabilizer, engine)
+    _assert_no_child()
+
+
+def test_worker_exception_keeps_its_type(star, stabilizer, engine, monkeypatch):
+    # Check 10's rebuild runs in the worker.
+    def broken(*args, **kwargs):
+        raise FanConstructionError("rebuild broken")
+
+    monkeypatch.setattr(verify, "build_star_fan", broken)
+    with pytest.raises(FanConstructionError, match="rebuild broken"):
+        run_all(star, stabilizer, engine)
+    _assert_no_child()
+
+
+def test_worker_dying_without_a_result_names_its_status(star, stabilizer, engine, monkeypatch):
+    monkeypatch.setattr(verify, "_independent_checks", lambda *args: os._exit(3))
+    with pytest.raises(RuntimeError, match="without a result, exit status 3"):
+        run_all(star, stabilizer, engine)
+    _assert_no_child()
