@@ -1,22 +1,24 @@
 """Polyhedral cone combinatorics over an ambient lattice Z^n.
 
 Cones are described by primitive integer ray generators. Facet
-enumeration is deliberate brute force over generator subsets: the
-largest instance this package ever needs is twelve rays in Z^10
-(220 candidate subsets), far below the point where double-description
-style algorithms would pay off. Cones of every dimension take the same
-integer path: each candidate covector is the kernel line of a subset of
-generators stacked on an integer kernel basis of all of them, so no
-rational arithmetic is involved.
+enumeration walks the generator subsets of size dim-1 depth first: the
+largest instance this package ever needs is twelve rays in Z^10 (220
+candidate subsets), far below the point where double-description style
+algorithms would pay off. Subsets that share a prefix share its
+fraction-free elimination, and a prefix that is already linearly
+dependent cuts off every subset that extends it. Cones of every
+dimension take the same integer path: each candidate covector is the
+kernel line of a subset of generators stacked on an integer kernel basis
+of all of them, so no rational arithmetic is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import index
+from operator import index, mul
+from typing import Sequence
 
-from .exact import DimensionError, gcd_content, int_det, kernel_basis, kernel_line
+from .exact import DimensionError, gcd_content, int_det, kernel_basis, primitive_vector
 
 __all__ = [
     "Cone",
@@ -77,6 +79,44 @@ class Facet:
     incident: frozenset[int]
 
 
+# A fraction-free reduced echelon form (pivots, free, rows, det): pivot
+# row i carries det at column pivots[i] and 0 at the other pivot columns,
+# and rows[i][k] at column free[k]. Dividing by det gives the reduced row
+# echelon form, and every entry is a minor of the rows, so no step needs
+# a fraction.
+_Echelon = tuple[list[int], list[int], list[list[int]], int]
+
+
+def _extend(form: _Echelon, g: Sequence[int]) -> _Echelon | None:
+    """The reduced form of the rows of `form` and one more row g, or None
+    when g lies in their span.
+
+    Reducing g against the pivot rows, times det, leaves the minors
+    det(A g) on the free columns (A the old rows), with no division; its
+    first nonzero entry p becomes the new pivot and the new det, and
+    Bareiss's update (p * entry - multiplier * new entry) / det, an exact
+    division, clears that column from the old rows.
+    """
+    pivots, free, rows, det = form
+    new = [det * g[c] for c in free]
+    for c, row in zip(pivots, rows):
+        x = g[c]
+        if x:
+            new = [a - x * b for a, b in zip(new, row)]
+    j = next((k for k, x in enumerate(new) if x), None)
+    if j is None:
+        return None
+    p = new[j]
+    out = []
+    for row in rows:
+        f = row[j]
+        out.append([(p * a - f * b) // det for a, b in zip(row, new)])
+    out.append(new)
+    for row in out:
+        del row[j]
+    return pivots + [free[j]], free[:j] + free[j + 1 :], out, p
+
+
 def enumerate_facets(cone: Cone) -> list[Facet]:
     """All facets of a pointed cone; a ray has none.
 
@@ -86,9 +126,13 @@ def enumerate_facets(cone: Cone) -> list[Facet]:
     exactly when it vanishes on an integer basis of the generators'
     kernel, so the candidate is the one-dimensional kernel of a
     (dim-1)-subset of generators stacked on that basis, which is empty
-    for a full-dimensional cone. One-sidedness over the remaining
-    generators filters genuine facets; a generator on which every facet
-    covector vanishes witnesses a line in the cone.
+    for a full-dimensional cone. The subsets are walked depth first,
+    extending one echelon form of the basis by one generator per level;
+    a dependent prefix has no one-dimensional kernel in any extension,
+    so its subtree is skipped, and at a leaf the kernel line is read off
+    the single free column. One-sidedness over the remaining generators
+    filters genuine facets; a generator on which every facet covector
+    vanishes witnesses a line in the cone.
     """
     gens = cone.generators
     kernel = kernel_basis(gens, cone.ambient)
@@ -99,19 +143,35 @@ def enumerate_facets(cone: Cone) -> list[Facet]:
             raise DegenerateConeError(f"generators {gens} span a line; the cone is not pointed")
         return []
     found: dict[tuple[int, ...], frozenset[int]] = {}
-    for subset in combinations(range(len(gens)), d - 1):
-        normal = kernel_line([gens[i] for i in subset] + kernel, cone.ambient)
-        if normal is None:
-            continue
-        values = [sum(a * b for a, b in zip(normal, g)) for g in gens]
-        # A nonzero covector in the row space is nonzero on some generator,
-        # so every candidate has a sign.
-        if any(v > 0 for v in values) and any(v < 0 for v in values):
-            continue
-        if any(v < 0 for v in values):
-            normal = tuple(-x for x in normal)
-            values = [-v for v in values]
-        found[normal] = frozenset(i for i, v in enumerate(values) if v == 0)
+
+    def walk(form: _Echelon, start: int, left: int) -> None:
+        if left == 0:
+            pivots, free, rows, det = form
+            line = [0] * cone.ambient
+            line[free[0]] = det
+            for c, row in zip(pivots, rows):
+                line[c] = -row[0]
+            normal = primitive_vector(line)
+            values = [sum(map(mul, normal, g)) for g in gens]
+            # A nonzero covector in the row space is nonzero on some
+            # generator, so every candidate has a sign.
+            if any(v > 0 for v in values) and any(v < 0 for v in values):
+                return
+            if any(v < 0 for v in values):
+                normal = tuple(-x for x in normal)
+                values = [-v for v in values]
+            found[normal] = frozenset(i for i, v in enumerate(values) if v == 0)
+            return
+        for i in range(start, len(gens) - left + 1):
+            child = _extend(form, gens[i])
+            if child is not None:
+                walk(child, i + 1, left - 1)
+
+    root: _Echelon = ([], list(range(cone.ambient)), [], 1)
+    for row in kernel:
+        # The kernel basis is independent, so every step extends.
+        root = _extend(root, row)
+    walk(root, 0, d - 1)
     for i, g in enumerate(gens):
         if all(sum(a * b for a, b in zip(normal, g)) == 0 for normal in found):
             raise DegenerateConeError(

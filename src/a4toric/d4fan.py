@@ -159,9 +159,15 @@ def build_star_fan(gram: Sequence[Sequence[int]] | None = None) -> StarFan:
     total = [sum(col) for col in zip(*rays)]
     eta = primitive_vector(total)
     facets = tuple(enumerate_facets(Cone(ambient, rays)))
-    # Fan rejects a facet that is not simplicial, since its cone with eta
-    # would not be; the sum of all rays is interior, so facets give
-    # distinct cones.
+    # A facet that is not simplicial would give a cone with eta that is
+    # not simplicial either; the sum of all rays is interior, so facets
+    # give distinct cones.
+    for i, f in enumerate(facets):
+        if len(f.incident) != ambient - 1:
+            raise FanConstructionError(
+                f"facet {i} of the cone has {len(f.incident)} rays, not {ambient - 1}: "
+                "it is not simplicial, so the star fan would not be"
+            )
     tops = tuple(frozenset({0} | {1 + i for i in f.incident}) for f in facets)
     return StarFan(q, reps, eta, gcd_content(total), facets, Fan((eta,) + rays, tops))
 
@@ -198,6 +204,17 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     to be unimodular, to permute the rays, to fix the barycenter and to
     permute the top cones; a failure of any check is a hard error because
     it would mean the fan does not actually carry the symmetry.
+
+    The ray and barycenter checks run on packed integers. Balanced
+    base-w packing, P(v) = sum of v_j w^j, is linear, so P(g c) = sum of
+    c_k P(column k) is one dot product with the packed columns, and row i
+    of g eta g^T packs to sum over k of g_ik sum over l of eta_kl
+    P(column l). The base w is
+    2B + 1 for a bound B, read off the candidate vectors, the rays and
+    eta, on every coordinate these vectors and rows can have; P is
+    injective on that box, so equal keys mean equal vectors. The top-cone
+    check depends only on the ray permutation, which g and -g share, so
+    it runs once per distinct permutation.
     """
     q = star.gram
     n = len(q)
@@ -226,45 +243,56 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
         for a in sorted(candidates):
             yield from columns(chosen + (a,))
 
-    every_ray = set(range(len(star.ray_vectors)))
-    ray_of = {
-        w: i for i, v in enumerate(star.ray_vectors) for w in (v, tuple(-x for x in v))
-    }
+    rays = star.ray_vectors
+    every_ray = set(range(len(rays)))
     # _flat of the matrix of index pairs lists the pair behind each flat
     # coordinate, which unflattens eta.
     eta = [[0] * n for _ in range(n)]
     for (i, j), x in zip(_flat([[(i, j) for j in range(n)] for i in range(n)]), star.eta):
         eta[i][j] = eta[j][i] = x
+    # Every entry of g is a candidate-vector coordinate, at most m in size.
+    m = max(abs(x) for v in vecs for x in v)
+    bound = max(
+        m * max(sum(map(abs, c)) for c in rays),  # g c
+        max(abs(x) for c in rays for x in c),  # +-c
+        m * m * sum(abs(x) for row in eta for x in row),  # g eta g^T
+        max(abs(x) for row in eta for x in row),  # eta
+    )
+    powers = [(2 * bound + 1) ** j for j in range(n)]
+    packed = [sum(map(mul, v, powers)) for v in vecs]
+    ray_of = {
+        sum(map(mul, u, powers)): i
+        for i, v in enumerate(rays)
+        for u in (v, tuple(-x for x in v))
+    }
+    eta_rows = [sum(map(mul, row, powers)) for row in eta]
     # A permutation of the rays maps a facet onto a facet exactly when it
     # maps the rays the facet leaves out onto the rays another facet
     # leaves out.
     complements = [tuple(every_ray - f.incident) for f in star.facets]
     complement_masks = frozenset(sum(1 << i for i in comp) for comp in complements)
+    permuting: set[tuple[int, ...]] = set()
     elements: list[LatticeAutomorphism] = []
     for chosen in columns(()):
         mat = tuple(zip(*(vecs[a] for a in chosen)))
         if abs(int_det(mat)) != 1:
             raise StabilizerError(f"form-preserving matrix {mat} is not unimodular")
-        perm = [
-            ray_of.get(tuple([sum(map(mul, row, v)) for row in mat]), -1)
-            for v in star.ray_vectors
-        ]
+        cols = [packed[a] for a in chosen]
+        perm = tuple([ray_of.get(sum(map(mul, c, cols)), -1) for c in rays])
         if set(perm) != every_ray:
             raise StabilizerError(f"matrix {mat} does not map the rays bijectively onto the rays")
-        # g eta g^T, reading eta's rows as its columns (it is symmetric).
-        g_eta = [[sum(map(mul, row, col)) for col in eta] for row in mat]
-        if any(
-            sum(map(mul, g_eta[i], mat[j])) != eta[i][j]
-            for i in range(n)
-            for j in range(i, n)
-        ):
+        # Row k of eta g^T, packed, then row i of g eta g^T.
+        eta_gt = [sum(map(mul, row, cols)) for row in eta]
+        if any(sum(map(mul, row, eta_gt)) != x for row, x in zip(mat, eta_rows)):
             raise StabilizerError(f"matrix {mat} moves the barycenter")
-        bits = [1 << p for p in perm]
-        for comp in complements:
-            image_mask = 0
-            for i in comp:
-                image_mask |= bits[i]
-            if image_mask not in complement_masks:
-                raise StabilizerError(f"matrix {mat} does not permute the top cones")
-        elements.append(LatticeAutomorphism(mat, tuple(perm)))
+        if perm not in permuting:
+            bits = [1 << p for p in perm]
+            for comp in complements:
+                image_mask = 0
+                for i in comp:
+                    image_mask |= bits[i]
+                if image_mask not in complement_masks:
+                    raise StabilizerError(f"matrix {mat} does not permute the top cones")
+            permuting.add(perm)
+        elements.append(LatticeAutomorphism(mat, perm))
     return Stabilizer(tuple(elements))

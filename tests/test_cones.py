@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from a4toric.cones import (
@@ -135,6 +135,35 @@ def test_facets_match_subset_scan_on_random_pointed_cones(case):
     assume(rank(cone.generators) >= 2)
     direct = frozenset((f.normal, f.incident) for f in enumerate_facets(cone))
     assert direct == _facets_by_subset_scan(cone)
+
+
+@st.composite
+def cones_with_positive_last_coordinate(draw):
+    """Distinct primitive generators in Z^3 or Z^4 with a positive last
+    coordinate, so the cone is pointed; when `flat` is drawn, coordinate 0
+    is 0 on every generator, so the cone is not full-dimensional."""
+    ambient = draw(st.sampled_from((3, 4)))
+    flat = draw(st.booleans())
+    coords = [st.just(0) if flat and k == 0 else st.integers(-3, 3) for k in range(ambient - 1)]
+    raw = draw(st.lists(st.tuples(*coords, st.integers(1, 3)), min_size=1, max_size=6))
+    gens: list[tuple[int, ...]] = []
+    for v in raw:
+        p = primitive_vector(v)
+        if p not in gens:
+            gens.append(p)
+    return ambient, tuple(gens)
+
+
+@settings(max_examples=50)
+@given(cones_with_positive_last_coordinate())
+def test_facet_search_matches_subset_scan_in_order(case):
+    ambient, gens = case
+    cone = Cone(ambient, gens)
+    direct = [(f.normal, f.incident) for f in enumerate_facets(cone)]
+    assert direct == sorted(_facets_by_subset_scan(cone))
+    # The opposite of a generator puts a line in the cone.
+    with pytest.raises(DegenerateConeError):
+        enumerate_facets(Cone(ambient, gens + (tuple(-x for x in gens[0]),)))
 
 
 def test_fan_validation():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import a4toric.d4fan as d4fan
 from a4toric.cones import Cone, Fan
 from a4toric.d4fan import (
     D4_GRAM,
@@ -188,6 +189,59 @@ def test_star_fan_structure(star):
         assert sum(i in f.incident for f in star.facets) == 48
     for idx in range(1, 13):
         assert sum(idx in c for c in star.fan.top_cones) == 48
+
+
+def _cross_rank(rows):
+    """Rank by Gaussian elimination with cross-multiplied integer rows,
+    each divided by its content; apart from the package's fraction-free
+    elimination and both facet routines."""
+    mat = [list(row) for row in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        p = mat[r][c]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c]
+            if f:
+                row = [x * p - f * y for x, y in zip(mat[i], mat[r])]
+                g = math.gcd(*row)
+                mat[i] = [x // g for x in row] if g else row
+        r += 1
+    return r
+
+
+def test_facets_satisfy_cone_duality(star):
+    # Each normal is an extreme ray of the dual cone (its zero set on the
+    # cone has rank 9), and each ray is an extreme ray of the cone (the
+    # normals vanishing on it have rank 9).
+    rays = star.fan.rays[1:]
+    values = [[sum(a * b for a, b in zip(f.normal, r)) for r in rays] for f in star.facets]
+    for f, vals in zip(star.facets, values):
+        assert all(v >= 0 for v in vals)
+        assert {i for i, v in enumerate(vals) if v == 0} == f.incident
+        assert _cross_rank([rays[i] for i in f.incident]) == 9
+    for i in range(len(rays)):
+        tight = [f.normal for f, vals in zip(star.facets, values) if vals[i] == 0]
+        assert _cross_rank(tight) == 9
+
+
+def test_non_simplicial_facet_is_rejected_by_name(monkeypatch):
+    real = d4fan.enumerate_facets
+
+    def widened(cone):
+        # Facet 3 gains a tenth ray.
+        facets = real(cone)
+        f = facets[3]
+        extra = min(set(range(len(cone.generators))) - f.incident)
+        facets[3] = dataclasses.replace(f, incident=f.incident | {extra})
+        return facets
+
+    monkeypatch.setattr(d4fan, "enumerate_facets", widened)
+    with pytest.raises(FanConstructionError, match="facet 3 of the cone has 10 rays, not 9"):
+        build_star_fan()
 
 
 def test_star_fan_determinism(star):
@@ -404,6 +458,23 @@ def test_stabilizer_matches_four_deep_scan_in_another_basis():
     assert [(e.matrix, e.ray_permutation) for e in got.elements] == _scan_form_automorphisms(moved)
 
 
+def test_stabilizer_ray_permutations_in_a_skewed_basis():
+    # Ray coordinates reach 5 here, so a packing base too small for
+    # them would alias two ray images.
+    u = ((1, 3, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    moved = build_star_fan(_moved(u))
+    assert max(abs(x) for v in moved.ray_vectors for x in v) == 5
+    got = compute_stabilizer(moved)
+    assert got.order == 1152
+    rep = {v: i for i, v in enumerate(moved.ray_vectors)}
+    for el in got.elements:
+        g = el.matrix
+        assert el.ray_permutation == tuple(
+            rep[_canon(tuple(sum(g[i][k] * c[k] for k in range(4)) for i in range(4)))]
+            for c in moved.ray_vectors
+        )
+
+
 def test_stabilizer_rejects_moved_barycenter(star):
     bad = dataclasses.replace(star, eta=(1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(StabilizerError, match="moves the barycenter"):
@@ -430,3 +501,11 @@ def test_stabilizer_rejects_ray_map_that_is_not_a_bijection(star):
     bad = dataclasses.replace(star, ray_vectors=rv[:5] + (rv[0],) + rv[6:])
     with pytest.raises(StabilizerError, match="does not map the rays bijectively"):
         compute_stabilizer(bad)
+
+
+def test_stabilizer_rejects_matrix_that_is_not_unimodular(star, monkeypatch):
+    # Every determinant reads 2. The candidate box in short_vectors
+    # shrinks to |c_i| <= 1, which still holds the identity's columns.
+    monkeypatch.setattr(d4fan, "int_det", lambda rows: 2)
+    with pytest.raises(StabilizerError, match="is not unimodular"):
+        compute_stabilizer(star)
