@@ -10,7 +10,6 @@ and denominator pairs, never as floats. Exit status: 0 on success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -240,7 +239,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_all(*_context())
-    checks = [dataclasses.asdict(c) for c in report.checks]
+    checks = [c._asdict() for c in report.checks]
     passed = sum(c["passed"] for c in checks)
     results = {
         "checks": checks,

@@ -14,9 +14,8 @@ of all of them, so no rational arithmetic is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import DimensionError, gcd_content, int_det, kernel_basis, primitive_vector
 
@@ -33,28 +32,31 @@ class DegenerateConeError(ValueError):
     """The cone is not pointed in its span (it contains a line)."""
 
 
-@dataclass(frozen=True)
-class Cone:
+class _ConeFields(NamedTuple):
+    ambient: int
+    generators: tuple[tuple[int, ...], ...]
+
+
+class Cone(_ConeFields):
     """A rational polyhedral cone spanned by primitive integer generators.
 
     Generators must be nonzero, primitive, and pairwise distinct; since
     primitive vectors coincide exactly when they are positive multiples
     of each other, distinctness rules out duplicates up to rescaling.
+    Every construction, `_make` and `_replace` included, is checked.
     """
 
-    ambient: int
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        gens = tuple(tuple(map(index, g)) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        if self.ambient <= 0:
+    def __new__(cls, ambient: int, generators: Sequence[Sequence[int]]) -> Cone:
+        gens = tuple(tuple(map(index, g)) for g in generators)
+        if ambient <= 0:
             raise ValueError("ambient dimension must be positive")
         if not gens:
             raise ValueError("a cone needs at least one generator")
         seen = set()
         for g in gens:
-            if len(g) != self.ambient:
+            if len(g) != ambient:
                 raise DimensionError("generator length does not match ambient dimension")
             content = gcd_content(g)
             if content == 0:
@@ -64,10 +66,14 @@ class Cone:
             if g in seen:
                 raise ValueError(f"duplicate generator {g}")
             seen.add(g)
+        return tuple.__new__(cls, (ambient, gens))
+
+    @classmethod
+    def _make(cls, iterable) -> Cone:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """A codimension-one face: primitive supporting covector plus the
     indices of the generators it vanishes on.
 
@@ -180,22 +186,24 @@ def enumerate_facets(cone: Cone) -> list[Facet]:
     return [Facet(normal, found[normal]) for normal in sorted(found)]
 
 
-@dataclass(frozen=True)
-class Fan:
+class _FanFields(NamedTuple):
+    rays: tuple[tuple[int, ...], ...]
+    top_cones: tuple[frozenset[int], ...]
+
+
+class Fan(_FanFields):
     """A simplicial fan given by its rays and top-dimensional cones.
 
     Every top cone must be full-dimensional, simplicial, and basic (its
     rays form a lattice basis); both intersection engines rely on this.
+    Every construction, `_make` and `_replace` included, is checked.
     """
 
-    rays: tuple[tuple[int, ...], ...]
-    top_cones: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rays = tuple(tuple(map(index, r)) for r in self.rays)
-        tops = tuple(frozenset(c) for c in self.top_cones)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "top_cones", tops)
+    def __new__(cls, rays: Sequence[Sequence[int]], top_cones: Sequence[frozenset[int]]) -> Fan:
+        rays = tuple(tuple(map(index, r)) for r in rays)
+        tops = tuple(frozenset(c) for c in top_cones)
         if not rays:
             raise ValueError("a fan needs at least one ray")
         n = len(rays[0])
@@ -215,6 +223,11 @@ class Fan:
                 raise ValueError("top cones must be simplicial and full-dimensional")
             if abs(int_det([rays[i] for i in sorted(c)])) != 1:
                 raise ValueError(f"top cone {sorted(c)} is not basic")
+        return tuple.__new__(cls, (rays, tops))
+
+    @classmethod
+    def _make(cls, iterable) -> Fan:
+        return cls(*iterable)
 
     @property
     def ambient(self) -> int:

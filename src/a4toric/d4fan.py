@@ -22,11 +22,10 @@ and then the upper triangle row by row; for n = 4 that is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import isqrt
 from operator import index, mul
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, NamedTuple, Sequence, TypeVar
 
 from .cones import Cone, Facet, Fan, enumerate_facets
 from .exact import gcd_content, int_det, primitive_vector, rank
@@ -118,8 +117,7 @@ def short_vectors(gram: Sequence[Sequence[int]], norm: int) -> tuple[tuple[int, 
     )
 
 
-@dataclass(frozen=True)
-class StarFan:
+class StarFan(NamedTuple):
     """The subdivided cone of a Gram matrix: the antipodal representatives
     c of its norm-2 vectors, the barycenter eta in flat coordinates with
     the content of the ray sum it divides, the facets, and the simplicial
@@ -172,8 +170,7 @@ def build_star_fan(gram: Sequence[Sequence[int]] | None = None) -> StarFan:
     return StarFan(q, reps, eta, gcd_content(total), facets, Fan((eta,) + rays, tops))
 
 
-@dataclass(frozen=True)
-class LatticeAutomorphism:
+class LatticeAutomorphism(NamedTuple):
     """An integer matrix preserving the form, together with the
     permutation it induces on the rays (by index into `ray_vectors`)."""
 
@@ -181,8 +178,7 @@ class LatticeAutomorphism:
     ray_permutation: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Stabilizer:
+class Stabilizer(NamedTuple):
     elements: tuple[LatticeAutomorphism, ...]
 
     @property
@@ -212,9 +208,14 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     P(column l). The base w is
     2B + 1 for a bound B, read off the candidate vectors, the rays and
     eta, on every coordinate these vectors and rows can have; P is
-    injective on that box, so equal keys mean equal vectors. The top-cone
-    check depends only on the ray permutation, which g and -g share, so
-    it runs once per distinct permutation.
+    injective on that box, so equal keys mean equal vectors.
+
+    All four checks are invariant under negation: |det(-g)| = |det g|,
+    (-g) c = -(g c) is the same antipodal ray as g c, so -g induces the
+    same permutation of the rays and hence of the top cones, and
+    (-g) eta (-g)^T = g eta g^T. So an element whose exact negation has
+    already passed, found by its matrix, takes that element's
+    permutation; every other element runs every check.
     """
     q = star.gram
     n = len(q)
@@ -271,21 +272,25 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     # leaves out.
     complements = [tuple(every_ray - f.incident) for f in star.facets]
     complement_masks = frozenset(sum(1 << i for i in comp) for comp in complements)
-    permuting: set[tuple[int, ...]] = set()
+    # The permutation of each element that passed, by the negated matrix.
+    negations: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
     elements: list[LatticeAutomorphism] = []
     for chosen in columns(()):
         mat = tuple(zip(*(vecs[a] for a in chosen)))
-        if abs(int_det(mat)) != 1:
-            raise StabilizerError(f"form-preserving matrix {mat} is not unimodular")
-        cols = [packed[a] for a in chosen]
-        perm = tuple([ray_of.get(sum(map(mul, c, cols)), -1) for c in rays])
-        if set(perm) != every_ray:
-            raise StabilizerError(f"matrix {mat} does not map the rays bijectively onto the rays")
-        # Row k of eta g^T, packed, then row i of g eta g^T.
-        eta_gt = [sum(map(mul, row, cols)) for row in eta]
-        if any(sum(map(mul, row, eta_gt)) != x for row, x in zip(mat, eta_rows)):
-            raise StabilizerError(f"matrix {mat} moves the barycenter")
-        if perm not in permuting:
+        perm = negations.get(mat)
+        if perm is None:
+            if abs(int_det(mat)) != 1:
+                raise StabilizerError(f"form-preserving matrix {mat} is not unimodular")
+            cols = [packed[a] for a in chosen]
+            perm = tuple([ray_of.get(sum(map(mul, c, cols)), -1) for c in rays])
+            if set(perm) != every_ray:
+                raise StabilizerError(
+                    f"matrix {mat} does not map the rays bijectively onto the rays"
+                )
+            # Row k of eta g^T, packed, then row i of g eta g^T.
+            eta_gt = [sum(map(mul, row, cols)) for row in eta]
+            if any(sum(map(mul, row, eta_gt)) != x for row, x in zip(mat, eta_rows)):
+                raise StabilizerError(f"matrix {mat} moves the barycenter")
             bits = [1 << p for p in perm]
             for comp in complements:
                 image_mask = 0
@@ -293,6 +298,6 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
                     image_mask |= bits[i]
                 if image_mask not in complement_masks:
                     raise StabilizerError(f"matrix {mat} does not permute the top cones")
-            permuting.add(perm)
+            negations[tuple(tuple(-x for x in row) for row in mat)] = perm
         elements.append(LatticeAutomorphism(mat, perm))
     return Stabilizer(tuple(elements))

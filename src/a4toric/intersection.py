@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cones import Fan
 from .exact import unimodular_inverse
@@ -139,8 +138,7 @@ class MonomialKeys:
         return tuple(key >> s & self.field for s in self.shifts)
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(NamedTuple):
     """The linear equivalence attached to one ambient coordinate: the sum
     of (ray coordinate) * (ray divisor) is rationally equivalent to 0."""
 
@@ -157,7 +155,6 @@ def build_relations(fan: Fan) -> tuple[LinearRelation, ...]:
     )
 
 
-@dataclass
 class LinearSystem:
     """The assembled block system, keyed by packed monomials.
 
@@ -171,12 +168,21 @@ class LinearSystem:
     factor.
     """
 
-    fan: Fan
-    e_index: int
-    relations: tuple[LinearRelation, ...]
-    keys: MonomialKeys
-    blocks: tuple[tuple[int, int], ...]
-    columns: dict[int, int]
+    def __init__(
+        self,
+        fan: Fan,
+        e_index: int,
+        relations: tuple[LinearRelation, ...],
+        keys: MonomialKeys,
+        blocks: tuple[tuple[int, int], ...],
+        columns: dict[int, int],
+    ):
+        self.fan = fan
+        self.e_index = e_index
+        self.relations = relations
+        self.keys = keys
+        self.blocks = blocks
+        self.columns = columns
 
     @property
     def multipliers(self) -> tuple[Monomial, ...]:
@@ -247,7 +253,6 @@ def assemble_system(
     )
 
 
-@dataclass
 class SystemSolution:
     """Exact solution of a LinearSystem with diagnostics.
 
@@ -257,15 +262,27 @@ class SystemSolution:
     `free_columns` lists those none did.
     """
 
-    by_key: dict[int, int]
-    keys: MonomialKeys
-    consistent: bool
-    problems: tuple[str, ...]
-    n_unknowns: int
-    n_rows: int
-    rank: int
-    free_columns: tuple[int, ...]
-    e_top: int
+    def __init__(
+        self,
+        by_key: dict[int, int],
+        keys: MonomialKeys,
+        consistent: bool,
+        problems: tuple[str, ...],
+        n_unknowns: int,
+        n_rows: int,
+        rank: int,
+        free_columns: tuple[int, ...],
+        e_top: int,
+    ):
+        self.by_key = by_key
+        self.keys = keys
+        self.consistent = consistent
+        self.problems = problems
+        self.n_unknowns = n_unknowns
+        self.n_rows = n_rows
+        self.rank = rank
+        self.free_columns = free_columns
+        self.e_top = e_top
 
     @cached_property
     def values(self) -> dict[Monomial, int]:
@@ -324,11 +341,6 @@ class ConeAtlas:
             outside = tuple((rp, v) for rp, v in enumerate(self.vectors) if rp not in cols)
             got = self._cones[ci] = (unimodular_inverse(mat), cols, outside, dict.fromkeys(cols))
         return got
-
-    def inverse(self, ci: int) -> tuple[list[list[int]], tuple[int, ...]]:
-        """The cone's rays in increasing order, with the inverse whose
-        row k is the covector dual to the k-th of them."""
-        return self._entry(ci)[:2]
 
     def terms(self, ci: int, rho: int) -> tuple[tuple[int, int], ...]:
         """The covector dual to ray rho of cone ci on the rays outside the

@@ -15,9 +15,9 @@ geometric degree is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 __all__ = ["bernoulli", "ProportionalityResult", "l_top"]
 
@@ -38,8 +38,7 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
-@dataclass(frozen=True)
-class ProportionalityResult:
+class ProportionalityResult(NamedTuple):
     """Exact top power of the Hodge class at a given genus, on the coarse
     space (`value`) and on the stack (`stack_value` = value / 2)."""
 

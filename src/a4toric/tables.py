@@ -18,10 +18,9 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 __all__ = [
     "FaberData",
@@ -46,22 +45,30 @@ RECURRENCE_FACTOR = 8
 PULLBACK_E_COEFF = 4
 
 
-@dataclass(frozen=True)
-class FaberData:
+class _Values(NamedTuple):
+    values: tuple[Fraction, ...]
+
+
+class FaberData(_Values):
     """The externally given recurrence constants b_9 .. b_0.
 
     `values[k]` is b_k. These ten rationals are inputs to this package,
     not results of it; everything derived from them is cross-checked by
-    the recurrence and by the independent toric route.
+    the recurrence and by the independent toric route. Every
+    construction, `_make` and `_replace` included, is checked.
     """
 
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __new__(cls, values: Sequence[Fraction]) -> FaberData:
+        vals = tuple(Fraction(v) for v in values)
         if len(vals) != TOP_DEGREE:
             raise ValueError(f"expected {TOP_DEGREE} constants b_0..b_9")
+        return tuple.__new__(cls, (vals,))
+
+    @classmethod
+    def _make(cls, iterable) -> FaberData:
+        return cls(*iterable)
 
     def b(self, k: int) -> Fraction:
         if not 0 <= k < TOP_DEGREE:
@@ -86,18 +93,22 @@ class FaberData:
         )
 
 
-@dataclass(frozen=True)
-class IgusaTable:
+class IgusaTable(_Values):
     """Values a_k = <L^k D^(10-k)> for k = 10 .. 0 on the first
-    compactification."""
+    compactification. Every construction, `_make` and `_replace`
+    included, is checked."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __new__(cls, values: Sequence[Fraction]) -> IgusaTable:
+        vals = tuple(Fraction(v) for v in values)
         if len(vals) != TOP_DEGREE + 1:
             raise ValueError("expected the eleven values a_0..a_10")
+        return tuple.__new__(cls, (vals,))
+
+    @classmethod
+    def _make(cls, iterable) -> IgusaTable:
+        return cls(*iterable)
 
     def a(self, k: int) -> Fraction:
         if not 0 <= k <= TOP_DEGREE:
@@ -124,8 +135,7 @@ def verify_recurrence(table: IgusaTable, faber: FaberData) -> tuple[bool, int | 
     return True, None
 
 
-@dataclass(frozen=True)
-class VoronoiTable:
+class VoronoiTable(NamedTuple):
     """Values a_{k,l} = <L^k F^(10-k-l) E^l> on the second
     compactification, for k, l >= 0 with k + l <= 10."""
 

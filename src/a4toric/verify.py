@@ -13,11 +13,10 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import NoReturn, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .cones import Cone, Fan, enumerate_facets
 from .d4fan import StarFan, Stabilizer, build_star_fan
@@ -69,8 +68,7 @@ EXPECTED_FIRST_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     description: str
     expected: str
@@ -78,8 +76,7 @@ class CheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

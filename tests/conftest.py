@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from a4toric import IntersectionEngine, build_star_fan, compute_stabilizer
+from a4toric import IntersectionEngine, build_star_fan, compute_stabilizer, run_all
 
 # Exact arithmetic makes individual examples slow but never flaky, so
 # trade example count for a stable wall-clock budget.
@@ -28,6 +28,17 @@ def stabilizer(star):
 @pytest.fixture(scope="session")
 def engine(star):
     return IntersectionEngine(star.fan, star.e_index)
+
+
+@pytest.fixture(scope="session")
+def passing_report(star, stabilizer, engine):
+    """`run_all` on the session's fan, group and engine, which must pass:
+    the one run shared by every test that only reads a passing report.
+    Fault-injection, determinism and worker-lifecycle tests make their
+    own runs."""
+    report = run_all(star, stabilizer, engine)
+    assert report.all_passed, [c for c in report.checks if not c.passed]
+    return report
 
 
 @dataclass(frozen=True)

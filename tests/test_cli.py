@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import re
@@ -12,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from a4toric import cli, verify
+from a4toric import cli, intersection, verify
 from a4toric.cones import Fan
 from a4toric.d4fan import FanConstructionError
 from a4toric.cli import main
+from a4toric.exact import unimodular_inverse
 from a4toric.intersection import IntersectionEngine
 from a4toric.tables import FaberData
 
@@ -50,17 +50,27 @@ def run_json(capsys, argv):
 
 
 @pytest.fixture(scope="session")
-def passing_output():
+def passing_output(star, stabilizer, engine, passing_report):
     """Standard output of an in-process run that must exit 0, memoized
-    per argv, for tests that only read a passing command's output."""
+    per argv, for tests that only read a passing command's output. The
+    commands run on the session's fan, group and engine, and verify
+    renders the session's passing report."""
     memo: dict[tuple[str, ...], str] = {}
+    context = (star, stabilizer, engine)
+
+    def shared_report(*args):
+        assert all(a is b for a, b in zip(args, context, strict=True))
+        return passing_report
 
     def run(argv):
         key = tuple(argv)
         if key not in memo:
             out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(list(argv))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_context", lambda: context)
+                patch.setattr(cli, "run_all", shared_report)
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(list(argv))
             assert code == 0, err.getvalue()
             memo[key] = out.getvalue()
         return memo[key]
@@ -290,7 +300,7 @@ def test_verify_fails_determinism_on_a_changed_rebuild(capsys, monkeypatch):
     def moved(*args, **kwargs):
         fresh = build(*args, **kwargs)
         rays = (fresh.fan.rays[0], tuple(-x for x in fresh.fan.rays[1])) + fresh.fan.rays[2:]
-        return dataclasses.replace(fresh, fan=Fan(rays, fresh.fan.top_cones))
+        return fresh._replace(fan=Fan(rays, fresh.fan.top_cones))
 
     monkeypatch.setattr(verify, "build_star_fan", moved)
     code, out, _ = run_cli(capsys, ["verify", "--reproducible"])
@@ -300,8 +310,14 @@ def test_verify_fails_determinism_on_a_changed_rebuild(capsys, monkeypatch):
 
 
 def _corrupt_inverse(atlas, monkeypatch):
-    inv, _ = atlas.inverse(0)
+    # Cone 0's one cache entry is filled from an inverse with one entry
+    # off; the atlas reads every coordinate of the cone from it.
+    cols = sorted(atlas.top_cones[0])
+    inv = unimodular_inverse([[atlas.vectors[r][j] for r in cols] for j in range(len(cols))])
     inv[0][0] += 1
+    with monkeypatch.context() as patch:
+        patch.setattr(intersection, "unimodular_inverse", lambda mat: inv)
+        atlas.rows(0)
 
 
 def _corrupt_terms(atlas, monkeypatch):

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -236,7 +236,7 @@ def test_non_simplicial_facet_is_rejected_by_name(monkeypatch):
         facets = real(cone)
         f = facets[3]
         extra = min(set(range(len(cone.generators))) - f.incident)
-        facets[3] = dataclasses.replace(f, incident=f.incident | {extra})
+        facets[3] = f._replace(incident=f.incident | {extra})
         return facets
 
     monkeypatch.setattr(d4fan, "enumerate_facets", widened)
@@ -458,13 +458,21 @@ def test_stabilizer_matches_four_deep_scan_in_another_basis():
     assert [(e.matrix, e.ray_permutation) for e in got.elements] == _scan_form_automorphisms(moved)
 
 
+# Ray coordinates reach 5 in this basis, so a packing base too small
+# for them would alias two ray images.
+SKEWED_BASIS = ((1, 3, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _star_and_group(gram):
+    """The star fan of a Gram matrix and its group, built once per module."""
+    star = build_star_fan(gram)
+    return star, compute_stabilizer(star)
+
+
 def test_stabilizer_ray_permutations_in_a_skewed_basis():
-    # Ray coordinates reach 5 here, so a packing base too small for
-    # them would alias two ray images.
-    u = ((1, 3, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    moved = build_star_fan(_moved(u))
+    moved, got = _star_and_group(_moved(SKEWED_BASIS))
     assert max(abs(x) for v in moved.ray_vectors for x in v) == 5
-    got = compute_stabilizer(moved)
     assert got.order == 1152
     rep = {v: i for i, v in enumerate(moved.ray_vectors)}
     for el in got.elements:
@@ -475,8 +483,34 @@ def test_stabilizer_ray_permutations_in_a_skewed_basis():
         )
 
 
+@pytest.mark.parametrize(
+    "gram", [D4_GRAM, _moved(SKEWED_BASIS), _cartan_a(3)], ids=["d4", "d4_skewed", "a3"]
+)
+def test_every_element_permutes_the_rays_by_its_matrix(gram):
+    # Half the elements reuse the permutation of their negation, so each
+    # is recomputed here from its own matrix: g c_i = +-c_perm[i].
+    star, group = _star_and_group(gram)
+    n = len(gram)
+    rays = star.ray_vectors
+    elements = group.elements
+    for el in elements:
+        g = el.matrix
+        assert sorted(el.ray_permutation) == list(range(len(rays)))
+        for c, p in zip(rays, el.ray_permutation):
+            image = tuple(sum(g[i][k] * c[k] for k in range(n)) for i in range(n))
+            assert image in (rays[p], tuple(-x for x in rays[p]))
+    # -g is an element with the same permutation; for odd n (A3) its
+    # determinant has the opposite sign.
+    by_matrix = {el.matrix: el.ray_permutation for el in elements}
+    assert len(by_matrix) == len(elements)
+    for g, perm in by_matrix.items():
+        neg = tuple(tuple(-x for x in row) for row in g)
+        assert by_matrix[neg] == perm
+        assert int_det(neg) == (-1) ** n * int_det(g)
+
+
 def test_stabilizer_rejects_moved_barycenter(star):
-    bad = dataclasses.replace(star, eta=(1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+    bad = star._replace(eta=(1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(StabilizerError, match="moves the barycenter"):
         compute_stabilizer(bad)
 
@@ -488,8 +522,8 @@ def test_stabilizer_rejects_facet_set_it_does_not_permute(star):
         for c in itertools.combinations(range(12), 9)
         if frozenset(c) not in facet_sets
     )
-    facets = (dataclasses.replace(star.facets[0], incident=stray),) + star.facets[1:]
-    bad = dataclasses.replace(star, facets=facets)
+    facets = (star.facets[0]._replace(incident=stray),) + star.facets[1:]
+    bad = star._replace(facets=facets)
     with pytest.raises(StabilizerError, match="does not permute the top cones"):
         compute_stabilizer(bad)
 
@@ -498,7 +532,7 @@ def test_stabilizer_rejects_ray_map_that_is_not_a_bijection(star):
     # Listing ray 0 twice (in place of ray 5) leaves no listed ray for a
     # form automorphism to send onto ray 5.
     rv = star.ray_vectors
-    bad = dataclasses.replace(star, ray_vectors=rv[:5] + (rv[0],) + rv[6:])
+    bad = star._replace(ray_vectors=rv[:5] + (rv[0],) + rv[6:])
     with pytest.raises(StabilizerError, match="does not map the rays bijectively"):
         compute_stabilizer(bad)
 

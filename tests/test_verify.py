@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 
@@ -32,7 +31,7 @@ def test_stabilizer_check_fails_on_a_non_bijection(star, stabilizer, engine):
     # Ray 0 and ray 1 both go to ray 0: every facet still lands on a set
     # of rays, but the map is not a permutation.
     collapsed = (0, 0) + first.ray_permutation[2:]
-    elements = (dataclasses.replace(first, ray_permutation=collapsed),) + stabilizer.elements[1:]
+    elements = (first._replace(ray_permutation=collapsed),) + stabilizer.elements[1:]
     broken = Stabilizer(elements)
     report = run_all(star=star, stabilizer=broken, engine=engine)
     check = _check(report, "stabilizer")
