@@ -470,10 +470,13 @@ class IntersectionEngine:
     """
 
     def __init__(self, fan: Fan, e_index: int = 0):
-        if not 0 <= e_index < len(fan.rays):
+        e_index = operator.index(e_index)
+        self._n_rays = len(fan.rays)
+        if not 0 <= e_index < self._n_rays:
             raise IndexError("exceptional ray index out of range")
         self.fan = fan
         self.e_index = e_index
+        self._ambient = fan.ambient
         self.atlas = ConeAtlas(fan.rays, fan.top_cones)
         self._memo: dict[Monomial, int] = {}
         self._system: LinearSystem | None = None
@@ -503,16 +506,35 @@ class IntersectionEngine:
         return Fraction(sol.e_top)
 
     def _checked(self, mono: Sequence[int]) -> Monomial:
-        """`mono` as a tuple of ints, one per ray, nonnegative and of
-        degree equal to the ambient dimension. Exponents must be
-        integers; anything else raises TypeError rather than being
-        truncated."""
-        key = tuple(map(operator.index, mono))
-        if len(key) != len(self.fan.rays):
+        """`mono` as a tuple of exact ints, one per ray, nonnegative and
+        of degree equal to the ambient dimension.
+
+        `mono` may be any iterable; it is read once. An exponent that is
+        not an integer (a float, a Fraction, a str) raises TypeError
+        rather than being truncated; bools and objects with `__index__`
+        count as the integers they convert to. The checks run in this
+        order, and the first that fails raises: every exponent is an
+        integer (TypeError), the length is the ray count, no exponent is
+        negative, the degree is the ambient dimension (each ValueError).
+
+        One `bytes` conversion checks that every exponent is an integer
+        from 0 to 255; when it and the length and degree tests pass, the
+        monomial is valid. Otherwise the checks above run one by one on
+        the same tuple, so each bad input gets the error they give."""
+        key = tuple(mono)
+        try:
+            packed = bytes(key)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if len(packed) == self._n_rays and sum(packed) == self._ambient:
+                return tuple(packed)
+        key = tuple(map(operator.index, key))
+        if len(key) != self._n_rays:
             raise ValueError("monomial length does not match the ray count")
         if min(key) < 0:
             raise ValueError("negative exponents are not allowed")
-        if sum(key) != self.fan.ambient:
+        if sum(key) != self._ambient:
             raise ValueError("degree must equal the ambient dimension")
         return key
 
@@ -528,15 +550,20 @@ class IntersectionEngine:
 
     def evaluate(self, mono: Sequence[int]) -> int:
         """Recursive engine: exact value of any degree-n monomial with
-        positive exceptional exponent, checked as `system_value` checks
-        it."""
+        positive exceptional exponent.
+
+        `mono` is checked as `_checked` describes, with the errors it
+        gives in its order; a valid monomial whose exceptional exponent
+        is 0 then raises UnsupportedMonomialError. A monomial already
+        evaluated is answered from the memo."""
         key = self._checked(mono)
         if key[self.e_index] < 1:
             raise UnsupportedMonomialError(
                 "the recursive engine only evaluates monomials with a "
                 "positive exceptional exponent"
             )
-        return self._eval(key)
+        value = self._memo.get(key)
+        return self._eval(key) if value is None else value
 
     def _eval(self, mono: Monomial) -> int:
         """`evaluate` without its argument checks, for monomials that

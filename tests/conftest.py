@@ -66,7 +66,17 @@ def iter_rows(system):
 
 @pytest.fixture(scope="session")
 def system_rows():
-    return iter_rows
+    """`iter_rows` as a tuple, built once per distinct multipliers and
+    relations: equal systems of different engines share their rows."""
+    built = {}
+
+    def rows(system):
+        key = (system.multipliers, system.relations)
+        if key not in built:
+            built[key] = tuple(iter_rows(system))
+        return built[key]
+
+    return rows
 
 
 @pytest.fixture(scope="session")
