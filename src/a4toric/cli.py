@@ -172,6 +172,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.genus != 4 and args.which != "ltop":
         raise _UsageError("--genus only applies to the ltop table")
     if args.which == "ltop":
+        if args.genus < 1:
+            raise _UsageError("genus must be at least 1")
         lt = l_top(args.genus)
         results = {
             "genus": lt.genus,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import product
 from math import isqrt
 from operator import index, mul
-from typing import Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .cones import Cone, Facet, Fan, enumerate_facets
 from .exact import gcd_content, int_det, primitive_vector, rank
@@ -40,6 +40,7 @@ __all__ = [
     "short_vectors",
     "build_star_fan",
     "compute_stabilizer",
+    "facet_permutation_test",
 ]
 
 Gram = tuple[tuple[int, ...], ...]
@@ -187,6 +188,36 @@ class Stabilizer(NamedTuple):
         return len({el.matrix for el in self.elements})
 
 
+def facet_permutation_test(
+    n_rays: int, facets: Sequence[frozenset[int]]
+) -> Callable[[Sequence[int]], bool]:
+    """The test of whether a bijection of the rays 0..n_rays-1, given as
+    the image of each ray, maps the facets, given as the rays each holds,
+    onto themselves.
+
+    A bijection maps a facet onto a facet exactly when it maps the rays
+    that facet leaves out onto the rays another facet leaves out, so the
+    test runs on bitmasks of those complements, computed once here,
+    whatever their sizes. The caller checks that the argument is a
+    bijection and that every facet names rays of 0..n_rays-1 only.
+    """
+    every = frozenset(range(n_rays))
+    complements = [tuple(every - inc) for inc in facets]
+    masks = frozenset(sum(1 << i for i in comp) for comp in complements)
+
+    def permutes(perm: Sequence[int]) -> bool:
+        bits = [1 << p for p in perm]
+        for comp in complements:
+            image = 0
+            for i in comp:
+                image |= bits[i]
+            if image not in masks:
+                return False
+        return True
+
+    return permutes
+
+
 def compute_stabilizer(star: StarFan) -> Stabilizer:
     """All integer automorphisms of the form, as a permutation group on
     the rays.
@@ -267,11 +298,7 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
         for u in (v, tuple(-x for x in v))
     }
     eta_rows = [sum(map(mul, row, powers)) for row in eta]
-    # A permutation of the rays maps a facet onto a facet exactly when it
-    # maps the rays the facet leaves out onto the rays another facet
-    # leaves out.
-    complements = [tuple(every_ray - f.incident) for f in star.facets]
-    complement_masks = frozenset(sum(1 << i for i in comp) for comp in complements)
+    permutes_facets = facet_permutation_test(len(rays), [f.incident for f in star.facets])
     # The permutation of each element that passed, by the negated matrix.
     negations: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
     elements: list[LatticeAutomorphism] = []
@@ -291,13 +318,8 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
             eta_gt = [sum(map(mul, row, cols)) for row in eta]
             if any(sum(map(mul, row, eta_gt)) != x for row, x in zip(mat, eta_rows)):
                 raise StabilizerError(f"matrix {mat} moves the barycenter")
-            bits = [1 << p for p in perm]
-            for comp in complements:
-                image_mask = 0
-                for i in comp:
-                    image_mask |= bits[i]
-                if image_mask not in complement_masks:
-                    raise StabilizerError(f"matrix {mat} does not permute the top cones")
+            if not permutes_facets(perm):
+                raise StabilizerError(f"matrix {mat} does not permute the top cones")
             negations[tuple(tuple(-x for x in row) for row in mat)] = perm
         elements.append(LatticeAutomorphism(mat, perm))
     return Stabilizer(tuple(elements))

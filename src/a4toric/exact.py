@@ -2,7 +2,8 @@
 
 Every computation in this package runs over arbitrary-precision integers
 and `fractions.Fraction`; nothing here ever touches a float, so equality
-tests downstream are exact and meaningful.
+tests downstream are exact and meaningful. Only `rref` works over the
+rationals; every other function takes integer entries only.
 
 Matrices are plain sequences of equal-length rows. Functions return new
 tuples or lists and never mutate their arguments.
@@ -11,7 +12,7 @@ tuples or lists and never mutate their arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import index
 from typing import Sequence
 
@@ -114,20 +115,15 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[int]]:
-    """Copy of a rational matrix with each row scaled by the lcm of its
-    denominators; scaling a row by a nonzero factor keeps the row space,
-    hence the rank and the kernel. Entries must be rational; anything
-    else raises TypeError."""
+def _integer_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Copy of an integer matrix with rows of `ncols` entries. Entries
+    must be integers; anything else, a Fraction included, raises
+    TypeError rather than being truncated."""
     out = []
     for row in rows:
         if len(row) != ncols:
             raise DimensionError("ragged matrix")
-        try:
-            mult = lcm(*(x.denominator for x in row))
-        except AttributeError:
-            raise TypeError(f"matrix entries must be rational, got row {row!r}") from None
-        out.append([int(x * mult) for x in row])
+        out.append([index(x) for x in row])
     return out
 
 
@@ -168,15 +164,15 @@ def _fraction_free_reduce(mat: list[list[int]]) -> tuple[list[int], int]:
     return pivots, prev
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of a rational matrix."""
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
     if not rows:
         return 0
     return len(_fraction_free_reduce(_integer_rows(rows, len(rows[0])))[0])
 
 
-def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[int, ...]]:
-    """Primitive integer vectors spanning the kernel of a rational matrix.
+def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer vectors spanning the kernel of an integer matrix.
 
     The matrix acts on column vectors of length `ncols`. There is one
     vector per non-pivot column, in increasing column order, with a
@@ -198,7 +194,7 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[int
     return basis
 
 
-def kernel_line(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[int, ...] | None:
+def kernel_line(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...] | None:
     """Primitive integer spanning vector of a one-dimensional kernel, or
     None unless the kernel has dimension exactly one (see `kernel_basis`)."""
     basis = kernel_basis(rows, ncols)

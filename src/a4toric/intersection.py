@@ -296,11 +296,11 @@ class ConeAtlas:
     `holders[r]` is the bitmask of the top cones holding ray r, so the
     cones holding a ray set, given as a bitmask of ray indices, are the
     AND of its rays' masks (`holding`). `cone_for` memoizes the first of
-    them; it is the engines' one containment test. One cache entry per
-    top cone holds the integer inverse of the matrix whose columns are
-    its ray vectors (`vectors[r]` for ray r) and, read from it row by row
-    on first use, the coordinates of the rays outside the cone. Both
-    engines read one atlas, so the inverses of a fan are computed once."""
+    them; it is the engines' one containment test. `rows` gives, per top
+    cone, the coordinates of the rays outside the cone, read from the
+    integer inverse of the matrix whose columns are its ray vectors
+    (`vectors[r]` for ray r). Both engines read one atlas, so the
+    inverses of a fan are computed once."""
 
     def __init__(self, vectors: Sequence[Sequence[int]], top_cones: Sequence[frozenset[int]]):
         self.vectors = tuple(tuple(v) for v in vectors)
@@ -310,7 +310,7 @@ class ConeAtlas:
             for r in range(len(self.vectors))
         )
         self._containing: dict[int, int | None] = {}
-        self._cones: dict[int, tuple[list[list[int]], tuple[int, ...], tuple, dict]] = {}
+        self._rows: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
 
     def holding(self, mask: int) -> int:
         """Bitmask of the top cones containing every ray of `mask`."""
@@ -333,38 +333,21 @@ class ConeAtlas:
             got = self._containing[mask] = (held & -held).bit_length() - 1 if held else None
         return got
 
-    def _entry(self, ci: int) -> tuple[list[list[int]], tuple[int, ...], tuple, dict]:
-        got = self._cones.get(ci)
-        if got is None:
-            cols = tuple(sorted(self.top_cones[ci]))
-            mat = [[self.vectors[r][j] for r in cols] for j in range(len(self.vectors[0]))]
-            outside = tuple((rp, v) for rp, v in enumerate(self.vectors) if rp not in cols)
-            got = self._cones[ci] = (unimodular_inverse(mat), cols, outside, dict.fromkeys(cols))
-        return got
-
-    def terms(self, ci: int, rho: int) -> tuple[tuple[int, int], ...]:
-        """The covector dual to ray rho of cone ci on the rays outside the
-        cone, where it does not vanish: (rp, coeff) by increasing rp."""
-        try:
-            row = self._cones[ci][3][rho]
-        except KeyError:
-            row = self._entry(ci)[3][rho]
-        if row is None:
-            inv, cols, outside, rows = self._cones[ci]
-            mu = inv[cols.index(rho)]
-            row = rows[rho] = tuple(
-                (rp, c) for rp, v in outside if (c := sum(map(operator.mul, mu, v)))
-            )
-        return row
-
     def rows(self, ci: int) -> dict[int, tuple[tuple[int, int], ...]]:
-        """`terms(ci, rho)` for every ray rho of cone ci, keyed by rho in
-        increasing order: the cone's own entry, filled where it is not."""
-        rows = self._entry(ci)[3]
-        if None in rows.values():
-            for rho in rows:
-                self.terms(ci, rho)
-        return rows
+        """For each ray rho of top cone ci, by increasing rho, the
+        covector dual to rho on the rays outside the cone, where it does
+        not vanish: (rp, coeff) by increasing rp. Computed whole on the
+        first call for the cone and returned from the cache after."""
+        got = self._rows.get(ci)
+        if got is None:
+            cols = sorted(self.top_cones[ci])
+            mat = [[self.vectors[r][j] for r in cols] for j in range(len(self.vectors[0]))]
+            outside = [(rp, v) for rp, v in enumerate(self.vectors) if rp not in cols]
+            got = self._rows[ci] = {
+                rho: tuple((rp, c) for rp, v in outside if (c := sum(map(operator.mul, mu, v))))
+                for rho, mu in zip(cols, unimodular_inverse(mat))
+            }
+        return got
 
 
 def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> SystemSolution:
@@ -479,20 +462,14 @@ class IntersectionEngine:
         self._ambient = fan.ambient
         self.atlas = ConeAtlas(fan.rays, fan.top_cones)
         self._memo: dict[Monomial, int] = {}
-        self._system: LinearSystem | None = None
-        self._solution: SystemSolution | None = None
 
-    @property
+    @cached_property
     def system(self) -> LinearSystem:
-        if self._system is None:
-            self._system = assemble_system(self.fan, e_index=self.e_index)
-        return self._system
+        return assemble_system(self.fan, e_index=self.e_index)
 
-    @property
+    @cached_property
     def solution(self) -> SystemSolution:
-        if self._solution is None:
-            self._solution = solve_system(self.system, self.atlas)
-        return self._solution
+        return solve_system(self.system, self.atlas)
 
     @property
     def e_top(self) -> Fraction:
@@ -585,7 +562,7 @@ class IntersectionEngine:
             else:
                 base = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1 :]
                 value = 0
-                for rp, coeff in self.atlas.terms(ci, rho):
+                for rp, coeff in self.atlas.rows(ci)[rho]:
                     value -= coeff * self._eval(base[:rp] + (base[rp] + 1,) + base[rp + 1 :])
         self._memo[mono] = value
         return value

@@ -161,6 +161,8 @@ def test_intersection_non_column_monomial(capsys, star):
         ["tables", "igusa", "--basis", "geometric"],
         ["bogus"],
         [],
+        ["tables", "ltop", "--genus", "0"],
+        ["tables", "ltop", "--genus", "-3"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -297,16 +299,27 @@ def test_verify_reports_a_worker_failure(capsys, monkeypatch):
 def test_verify_fails_determinism_on_a_changed_rebuild(capsys, monkeypatch):
     build = verify.build_star_fan
 
-    def moved(*args, **kwargs):
-        fresh = build(*args, **kwargs)
+    def moved_fan_ray(fresh):
         rays = (fresh.fan.rays[0], tuple(-x for x in fresh.fan.rays[1])) + fresh.fan.rays[2:]
         return fresh._replace(fan=Fan(rays, fresh.fan.top_cones))
 
-    monkeypatch.setattr(verify, "build_star_fan", moved)
-    code, out, _ = run_cli(capsys, ["verify", "--reproducible"])
-    assert code == 1
-    failing = [l for l in out.splitlines() if l.startswith("[FAIL]")]
-    assert failing == ["[FAIL] determinism: expected ok; got rebuild or rendering drifted"]
+    # The next two leave the fan, its facets and its E^n as they are: only
+    # a comparison of the whole StarFan record sees them.
+    def negated_ray_vector(fresh):
+        first = tuple(-x for x in fresh.ray_vectors[0])
+        return fresh._replace(ray_vectors=(first,) + fresh.ray_vectors[1:])
+
+    def other_eta_content(fresh):
+        return fresh._replace(eta_content=fresh.eta_content + 1)
+
+    for change in (moved_fan_ray, negated_ray_vector, other_eta_content):
+        monkeypatch.setattr(verify, "build_star_fan", lambda change=change: change(build()))
+        code, out, _ = run_cli(capsys, ["verify", "--reproducible"])
+        assert code == 1, change.__name__
+        failing = [l for l in out.splitlines() if l.startswith("[FAIL]")]
+        assert failing == [
+            "[FAIL] determinism: expected ok; got rebuild or rendering drifted"
+        ], change.__name__
 
 
 def _corrupt_inverse(atlas, monkeypatch):
@@ -322,8 +335,7 @@ def _corrupt_inverse(atlas, monkeypatch):
 
 def _corrupt_terms(atlas, monkeypatch):
     # The E-coordinate in cone 0 of the first ray outside it, changed in
-    # the cone's one cache entry: the block solve reads its rows whole
-    # and the evaluator one at a time.
+    # the cone's one cache entry, which both engines read.
     rows = atlas.rows(0)
     (rp, coeff), *rest = rows[0]
     rows[0] = ((rp, coeff + 1), *rest)

@@ -118,25 +118,28 @@ def test_kernel_line():
     assert kernel_line([[1, 0, 0], [0, 1, 0]], 3) == (0, 0, 1)
     # kernel dimension 2: no single line
     assert kernel_line([[1, 0, 0]], 3) is None
-    # rational entries clear denominators to a primitive integer vector
-    assert kernel_line([[Fraction(1, 2), Fraction(1, 3)]], 2) == (-2, 3)
 
 
-@pytest.mark.parametrize("entry", [1.5, 2.0, "1"], ids=["float", "integral_float", "string"])
 @pytest.mark.parametrize(
-    "call, rational_value",
+    "entry",
+    [1.5, 2.0, "1", Fraction(1, 2)],
+    ids=["float", "integral_float", "string", "fraction"],
+)
+@pytest.mark.parametrize(
+    "call",
     [
-        (lambda rows: rank(rows), 1),
-        (lambda rows: kernel_line(rows, 2), (-2, 1)),
-        (lambda rows: kernel_basis(rows, 2), [(-2, 1)]),
+        lambda rows: rank(rows),
+        lambda rows: kernel_line(rows, 2),
+        lambda rows: kernel_basis(rows, 2),
     ],
     ids=["rank", "kernel_line", "kernel_basis"],
 )
-def test_integer_rows_reject_non_rational_entries(call, rational_value, entry):
+def test_integer_rows_reject_non_rational_entries(call, entry):
+    # Every entry goes through operator.index: a non-integer raises, a
+    # Fraction and an integral float included, rather than being scaled
+    # or truncated.
     with pytest.raises(TypeError):
         call([[1, 2], [entry, 2]])
-    # Rational input stays accepted.
-    assert call([[1, 2], [Fraction(1, 2), 1]]) == rational_value
 
 
 def test_unimodular_inverse():
@@ -249,19 +252,6 @@ def test_kernel_line_matches_fraction_rref(case):
     basis = kernel_basis(rows, ncols)
     assert basis == fraction_kernel_basis(rows, ncols)
     assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows for vec in basis)
-
-
-@given(kernel_cases(), st.lists(rationals.filter(bool), min_size=6, max_size=6))
-def test_kernel_line_of_rational_rows(case, scales):
-    rows, ncols = case
-    scaled = [[Fraction(x) * q for x in row] for row, q in zip(rows, scales)]
-    assert kernel_line(scaled, ncols) == kernel_line(rows, ncols) == fraction_kernel_line(scaled, ncols)
-
-
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4).map(lambda rows: (rows, n))))
-def test_kernel_line_of_arbitrary_rational_rows(case):
-    rows, ncols = case
-    assert kernel_line(rows, ncols) == fraction_kernel_line(rows, ncols)
 
 
 def test_kernel_line_rank_deficient_is_none():

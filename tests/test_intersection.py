@@ -352,7 +352,7 @@ def test_doctored_relations_are_caught():
     assert not sol.consistent
     assert any("must vanish" in p for p in sol.problems)
     eng = IntersectionEngine(fan, 2)
-    eng._solution = sol
+    eng.solution = sol
     with pytest.raises(InconsistentSystemError):
         eng.e_top
     # An atlas of the undoctored rays does not describe these relations.
@@ -377,9 +377,13 @@ def test_engines_share_one_atlas(star, monkeypatch):
     assert 0 < len(made) <= len(star.fan.top_cones)
     assert len({tuple(map(tuple, mat)) for mat in made}) == len(made)
     cols = tuple(sorted(star.fan.top_cones[0]))
+    # The first call for a cone fills a row for every ray of the cone.
+    first = ConeAtlas(star.fan.rays, star.fan.top_cones).rows(0)
+    assert tuple(first) == cols
+    assert first == eng.atlas.rows(0)
     inv = unimodular_inverse([[star.fan.rays[r][j] for r in cols] for j in range(10)])
     for k, rho in enumerate(cols):
-        for rp, coeff in eng.atlas.terms(0, rho):
+        for rp, coeff in eng.atlas.rows(0)[rho]:
             assert rp not in cols
             assert coeff == sum(a * b for a, b in zip(inv[k], star.fan.rays[rp]))
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from a4toric import verify
-from a4toric.d4fan import FanConstructionError, Stabilizer
+from a4toric.d4fan import FanConstructionError, Stabilizer, facet_permutation_test
 from a4toric.intersection import (
     IntersectionEngine,
     LinearRelation,
@@ -23,7 +23,10 @@ def _check(report, name):
 
 
 def test_permutes_facets_accepts_the_stabilizer(star, stabilizer):
-    assert _permutes_facets(12, [f.incident for f in star.facets], stabilizer)
+    facets = [f.incident for f in star.facets]
+    permutes = facet_permutation_test(12, facets)
+    assert all(permutes(el.ray_permutation) for el in stabilizer.elements)
+    assert _permutes_facets(12, facets, stabilizer)
 
 
 def test_stabilizer_check_fails_on_a_non_bijection(star, stabilizer, engine):
@@ -60,7 +63,11 @@ def test_stabilizer_check_counts_distinct_matrices(star, stabilizer, engine, ele
 def test_stabilizer_check_fails_on_ragged_or_stray_facets(star, stabilizer):
     facets = [f.incident for f in star.facets]
     ragged = [facets[0] - {min(facets[0])}] + facets[1:]
+    permutes = facet_permutation_test(12, ragged)
+    assert not all(permutes(el.ray_permutation) for el in stabilizer.elements)
     assert not _permutes_facets(12, ragged, stabilizer)
+    # A ray outside the fan is outside every complement, so check 5's
+    # ray-range test is what rejects it.
     stray = [facets[0] | {12}] + facets[1:]
     assert not _permutes_facets(12, stray, stabilizer)
 
@@ -112,7 +119,7 @@ def test_inconsistent_system_names_its_first_problem(star, stabilizer):
     coefficients[1] += 2
     relations[0] = LinearRelation(0, tuple(coefficients))
     eng = IntersectionEngine(star.fan, star.e_index)
-    eng._solution = solve_system(assemble_system(star.fan, tuple(relations), star.e_index))
+    eng.solution = solve_system(assemble_system(star.fan, tuple(relations), star.e_index))
     problems = eng.solution.problems
     assert problems[0] == (
         "block E*D2*D5*D6*D8*D9*D10*D11*D12: coefficient of ray 7 must vanish but equals -2"
