@@ -24,10 +24,13 @@ Both engines return exact integers; the fan's cones being basic makes
 every intermediate covector integral. Both ask one `ConeAtlas` which top
 cone holds a ray set and read the covectors of that cone from it, so a
 square-free top monomial and every bump of a block are decided by the
-same lookup. The linear system keys each monomial by one packed int
-(`MonomialKeys`) and each support by a ray bitmask, and decodes to
-exponent tuples only at its public boundary; the recursive evaluator
-keys its memo by exponent tuple.
+same lookup. The atlas inverts one cone matrix and reaches the others by
+exchange pivots across walls: two cones sharing a wall differ by one
+ray, and the coordinate of the entering ray along the leaving one is
+the ratio of their determinants, +-1. The linear system keys each
+monomial by one packed int (`MonomialKeys`, one byte per ray) and each
+support by a ray bitmask, and decodes to exponent tuples only at its
+public boundary; the recursive evaluator keys its memo by exponent tuple.
 """
 
 from __future__ import annotations
@@ -119,23 +122,24 @@ def format_monomial(mono: Sequence[int]) -> str:
 
 class MonomialKeys:
     """Packed-integer keys of the monomials over one fan: ray r's
-    exponent is the field of w = ambient.bit_length() bits at offset
-    w*(R-1-r), R the ray count, so every exponent up to the ambient
-    dimension fits, keys sort as exponent tuples do (ray 0 is the most
-    significant field) and bumping ray r adds `ones[r]`."""
+    exponent is byte R-1-r of the key, R the ray count, so every exponent
+    up to 255 fits, keys sort as exponent tuples do (ray 0 is the most
+    significant byte) and bumping ray r adds `ones[r]`. Packing and
+    unpacking are one `bytes` conversion each; an exponent outside
+    0..255 raises ValueError instead of spilling into the next field."""
 
     def __init__(self, n_rays: int, ambient: int):
-        w = ambient.bit_length()
-        self.shifts = tuple(w * (n_rays - 1 - r) for r in range(n_rays))
-        self.ones = tuple(1 << s for s in self.shifts)
-        self.field = (1 << w) - 1
+        if ambient > 255:
+            raise ValueError(f"ambient dimension {ambient} does not fit a one-byte exponent")
+        self.n_rays = n_rays
+        self.ones = tuple(1 << 8 * (n_rays - 1 - r) for r in range(n_rays))
 
     def pack(self, mono: Sequence[int]) -> int:
-        """Key of one exponent per ray, each from 0 to the ambient dimension."""
-        return sum(map(operator.lshift, mono, self.shifts))
+        """Key of one exponent per ray, each from 0 to 255."""
+        return int.from_bytes(bytes(mono), "big")
 
     def unpack(self, key: int) -> Monomial:
-        return tuple(key >> s & self.field for s in self.shifts)
+        return tuple(key.to_bytes(self.n_rays, "big"))
 
 
 class LinearRelation(NamedTuple):
@@ -297,10 +301,12 @@ class ConeAtlas:
     cones holding a ray set, given as a bitmask of ray indices, are the
     AND of its rays' masks (`holding`). `cone_for` memoizes the first of
     them; it is the engines' one containment test. `rows` gives, per top
-    cone, the coordinates of the rays outside the cone, read from the
-    integer inverse of the matrix whose columns are its ray vectors
-    (`vectors[r]` for ray r). Both engines read one atlas, so the
-    inverses of a fan are computed once."""
+    cone, the coordinates of the rays outside the cone in the basis of
+    its rays (`vectors[r]` for ray r). The first cone asked for is read
+    off the integer inverse of its matrix; every later cone that shares
+    a wall with a filled one is filled from it by one exchange pivot, so
+    a fan whose top cones are connected through walls costs one inverse.
+    Both engines read one atlas, so a fan's coordinates are computed once."""
 
     def __init__(self, vectors: Sequence[Sequence[int]], top_cones: Sequence[frozenset[int]]):
         self.vectors = tuple(tuple(v) for v in vectors)
@@ -309,6 +315,7 @@ class ConeAtlas:
             sum(1 << ci for ci, c in enumerate(self.top_cones) if r in c)
             for r in range(len(self.vectors))
         )
+        self._masks = tuple(sum(1 << r for r in c) for c in self.top_cones)
         self._containing: dict[int, int | None] = {}
         self._rows: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
 
@@ -337,17 +344,60 @@ class ConeAtlas:
         """For each ray rho of top cone ci, by increasing rho, the
         covector dual to rho on the rays outside the cone, where it does
         not vanish: (rp, coeff) by increasing rp. Computed whole on the
-        first call for the cone and returned from the cache after."""
+        first call for the cone and returned from the cache after.
+
+        The first call pivots from a filled top cone sharing a wall (all
+        but one ray) with ci, and inverts ci's matrix only when there is
+        none. A cone that is not unimodular in `vectors` raises
+        ValueError on its first call."""
         got = self._rows.get(ci)
         if got is None:
-            cols = sorted(self.top_cones[ci])
-            mat = [[self.vectors[r][j] for r in cols] for j in range(len(self.vectors[0]))]
-            outside = [(rp, v) for rp, v in enumerate(self.vectors) if rp not in cols]
-            got = self._rows[ci] = {
-                rho: tuple((rp, c) for rp, v in outside if (c := sum(map(operator.mul, mu, v))))
-                for rho, mu in zip(cols, unimodular_inverse(mat))
-            }
+            mask, masks = self._masks[ci], self._masks
+            wall = len(self.vectors[0]) - 1
+            src = next((cj for cj in self._rows if (masks[cj] & mask).bit_count() == wall), None)
+            got = self._rows[ci] = self._inverted(ci) if src is None else self._pivoted(src, ci)
         return got
+
+    def _inverted(self, ci: int) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Cone ci's rows read off the integer inverse of its matrix."""
+        cols = sorted(self.top_cones[ci])
+        mat = [[self.vectors[r][j] for r in cols] for j in range(len(self.vectors[0]))]
+        outside = [(rp, v) for rp, v in enumerate(self.vectors) if rp not in cols]
+        return {
+            rho: tuple((rp, c) for rp, v in outside if (c := sum(map(operator.mul, mu, v))))
+            for rho, mu in zip(cols, unimodular_inverse(mat))
+        }
+
+    def _pivoted(self, src: int, ci: int) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Cone ci's rows from those of filled cone src across their common
+        wall: ray a leaves, ray b enters, and with p the coordinate of b
+        along a (the ratio of the two cones' determinants, so +-1), row b
+        is p times row a with a at p, and every other row loses its b
+        coordinate times row b."""
+        old = self._rows[src]
+        (a,) = self.top_cones[src] - self.top_cones[ci]
+        (b,) = self.top_cones[ci] - self.top_cones[src]
+        row_b = dict(old[a])
+        p = row_b.pop(b, 0)
+        if p not in (1, -1):
+            raise ValueError(
+                f"top cone {ci} {sorted(self.top_cones[ci])} is not unimodular: "
+                f"across its wall with cone {src} ray {b} has coordinate {p} along ray {a}"
+            )
+        row_b = {rp: p * c for rp, c in row_b.items()}
+        row_b[a] = p
+        rows = {}
+        for rho in sorted(self.top_cones[ci]):
+            if rho == b:
+                row = row_b
+            else:
+                row = dict(old[rho])
+                x = row.pop(b, 0)
+                if x:
+                    for rp, c in row_b.items():
+                        row[rp] = row.get(rp, 0) - x * c
+            rows[rho] = tuple(sorted((rp, c) for rp, c in row.items() if c))
+        return rows
 
 
 def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> SystemSolution:
@@ -446,9 +496,10 @@ class IntersectionEngine:
     """Both engines over one fan, reading one shared cone atlas.
 
     The recursive evaluator and the block solver find containing cones
-    and cone coordinates in `atlas`, so each inverse is computed once per
-    engine. The linear system is assembled and solved lazily on first
-    use. The verification suite rebuilds every row from the raw
+    and cone coordinates in `atlas`, so each cone's coordinates are
+    computed once per engine, by a pivot from a neighbouring cone when
+    one is filled. The linear system is assembled and solved lazily on
+    first use. The verification suite rebuilds every row from the raw
     relations, so a fault in the shared atlas still shows.
     """
 

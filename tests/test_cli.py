@@ -324,7 +324,8 @@ def test_verify_fails_determinism_on_a_changed_rebuild(capsys, monkeypatch):
 
 def _corrupt_inverse(atlas, monkeypatch):
     # Cone 0's one cache entry is filled from an inverse with one entry
-    # off; the atlas reads every coordinate of the cone from it.
+    # off; the atlas reads every coordinate of the cone from it, and the
+    # cones pivoted from it inherit the fault.
     cols = sorted(atlas.top_cones[0])
     inv = unimodular_inverse([[atlas.vectors[r][j] for r in cols] for j in range(len(cols))])
     inv[0][0] += 1
@@ -341,7 +342,27 @@ def _corrupt_terms(atlas, monkeypatch):
     rows[0] = ((rp, coeff + 1), *rest)
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_inverse, _corrupt_terms], ids=["inverse", "terms"])
+def _corrupt_pivoted(atlas, monkeypatch):
+    # The E-coordinate of the first ray outside the first neighbour of
+    # cone 0, a cone filled by a pivot from cone 0 with no inverse.
+    atlas.rows(0)
+    ci = next(ci for ci, cone in enumerate(atlas.top_cones) if len(atlas.top_cones[0] - cone) == 1)
+
+    def no_inverse(mat):
+        raise AssertionError("a neighbour of a filled cone is pivoted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(intersection, "unimodular_inverse", no_inverse)
+        rows = atlas.rows(ci)
+    (rp, coeff), *rest = rows[0]
+    rows[0] = ((rp, coeff + 1), *rest)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_corrupt_inverse, _corrupt_terms, _corrupt_pivoted],
+    ids=["inverse", "terms", "pivoted"],
+)
 def test_corrupted_atlas_fails_verify(capsys, monkeypatch, star, stabilizer, corrupt):
     engine = IntersectionEngine(star.fan, star.e_index)
     corrupt(engine.atlas, monkeypatch)

@@ -9,12 +9,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from a4toric import build_star_fan, intersection
-from a4toric.exact import rref, unimodular_inverse
+from a4toric.exact import int_det, rref, unimodular_inverse
 from a4toric.intersection import (
     ConeAtlas,
     InconsistentSystemError,
     IntersectionEngine,
     LinearRelation,
+    MonomialKeys,
     MonomialSyntaxError,
     UnsupportedMonomialError,
     assemble_system,
@@ -241,6 +242,24 @@ def test_field_edges_match_dense_elimination(engines, name):
     assert engine.evaluate(edges[0]) == engine.e_top
 
 
+@given(st.lists(st.tuples(*[st.integers(0, 255)] * 13), min_size=1, max_size=20))
+def test_monomial_keys_are_one_byte_per_ray_in_tuple_order(monos):
+    keys = MonomialKeys(13, 10)
+    assert [keys.unpack(k) for k in sorted(map(keys.pack, monos))] == sorted(monos)
+    for mono in monos:
+        assert keys.pack(mono) == sum(x * one for x, one in zip(mono, keys.ones))
+
+
+def test_monomial_keys_reject_what_a_byte_cannot_hold():
+    keys = MonomialKeys(3, 2)
+    assert keys.ones == (1 << 16, 1 << 8, 1)
+    for bad in ((-1, 2, 1), (256, 0, 0)):
+        with pytest.raises(ValueError):
+            keys.pack(bad)
+    with pytest.raises(ValueError, match="ambient dimension 256"):
+        MonomialKeys(3, 256)
+
+
 @pytest.mark.parametrize("name", ["D4", "A2", "A3"])
 @given(data=st.data())
 def test_random_monomials_match_dense_elimination(engines, name, data):
@@ -360,7 +379,8 @@ def test_doctored_relations_are_caught():
         solve_system(system, ConeAtlas(fan.rays, fan.top_cones))
 
 
-def test_engines_share_one_atlas(star, monkeypatch):
+def _counting_inverse(monkeypatch):
+    """Patch the atlas's inverse to record every matrix it is called on."""
     made = []
 
     def counting_inverse(mat):
@@ -368,24 +388,101 @@ def test_engines_share_one_atlas(star, monkeypatch):
         return unimodular_inverse(mat)
 
     monkeypatch.setattr(intersection, "unimodular_inverse", counting_inverse)
+    return made
+
+
+def test_engines_share_one_atlas(star, monkeypatch):
+    made = _counting_inverse(monkeypatch)
     eng = IntersectionEngine(star.fan, star.e_index)
-    mono = (2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
-    assert eng.evaluate(mono) == eng.system_value(mono)
-    for mono in random.Random(5).sample(sorted(eng.solution.values), 200):
-        assert eng.evaluate(mono) == eng.solution.values[mono]
-    # One inverse per cone, whichever engine asked first.
-    assert 0 < len(made) <= len(star.fan.top_cones)
-    assert len({tuple(map(tuple, mat)) for mat in made}) == len(made)
+    for mono, value in eng.solution.values.items():
+        assert eng.evaluate(mono) == value
+    # The solve inverts its first cone and pivots every later one across
+    # a wall of a filled cone; the sweep reads the same cones.
+    assert len(made) == 1
     cols = tuple(sorted(star.fan.top_cones[0]))
     # The first call for a cone fills a row for every ray of the cone.
     first = ConeAtlas(star.fan.rays, star.fan.top_cones).rows(0)
     assert tuple(first) == cols
     assert first == eng.atlas.rows(0)
-    inv = unimodular_inverse([[star.fan.rays[r][j] for r in cols] for j in range(10)])
-    for k, rho in enumerate(cols):
-        for rp, coeff in eng.atlas.rows(0)[rho]:
-            assert rp not in cols
-            assert coeff == sum(a * b for a, b in zip(inv[k], star.fan.rays[rp]))
+
+
+def test_cones_sharing_no_wall_take_one_inverse_each(monkeypatch):
+    # Two basic cones of R^3 that share only the ray e1: neither can be
+    # pivoted from the other.
+    made = _counting_inverse(monkeypatch)
+    rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (0, 0, -1))
+    atlas = ConeAtlas(rays, (frozenset({0, 1, 2}), frozenset({0, 3, 4})))
+    assert atlas.rows(0) == {0: (), 1: ((3, -1),), 2: ((4, -1),)}
+    assert atlas.rows(1) == {0: (), 3: ((1, -1),), 4: ((2, -1),)}
+    assert len(made) == 2
+
+
+def _moved_gram(u, q):
+    """The Gram matrix U^T Q U of the basis given by the columns of U."""
+    n = len(q)
+    return tuple(
+        tuple(sum(u[k][i] * q[k][l] * u[l][j] for k in range(n) for l in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_atlases(star):
+    """Per fan name, the fan and every cone's rows, in ray order, read
+    off `unimodular_inverse` of the cone's matrix without the atlas."""
+    moved = _moved_gram(((0, 1, 0, 0), (1, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1)), star.gram)
+    fans = {
+        "D4": star.fan,
+        "D4 moved": build_star_fan(moved).fan,
+        "A2": build_star_fan(_cartan_a(2)).fan,
+        "A3": build_star_fan(_cartan_a(3)).fan,
+        "P2": projective_plane_fan(),
+        "blow-up": plane_blowup_fan(),
+    }
+    built = {}
+    for name, fan in fans.items():
+        want = []
+        for cone in fan.top_cones:
+            cols = sorted(cone)
+            inv = unimodular_inverse([[fan.rays[r][j] for r in cols] for j in range(fan.ambient)])
+            outside = [(rp, v) for rp, v in enumerate(fan.rays) if rp not in cone]
+            want.append(
+                [
+                    (rho, tuple((rp, c) for rp, v in outside if (c := sum(a * b for a, b in zip(mu, v)))))
+                    for rho, mu in zip(cols, inv)
+                ]
+            )
+        built[name] = (fan, want)
+    return built
+
+
+@pytest.mark.parametrize("name", ["D4", "D4 moved", "A2", "A3", "P2", "blow-up"])
+@given(data=st.data())
+def test_atlas_rows_match_every_cone_inverse_in_any_order(oracle_atlases, name, data):
+    fan, want = oracle_atlases[name]
+    atlas = ConeAtlas(fan.rays, fan.top_cones)
+    for ci in data.draw(st.permutations(range(len(fan.top_cones)))):
+        assert list(atlas.rows(ci).items()) == want[ci]
+
+
+def test_a_non_unimodular_cone_is_named_by_its_pivot(star, monkeypatch):
+    # Ray 1 doubled in every relation puts determinant +-2 on each cone
+    # through it. The solve's first cone lies off ray 1 and is inverted;
+    # the first cone through ray 1 it asks for is pivoted and raises.
+    made = _counting_inverse(monkeypatch)
+    fan = star.fan
+    doubled = tuple(
+        rel._replace(coefficients=rel.coefficients[:1] + (2 * rel.coefficients[1],) + rel.coefficients[2:])
+        for rel in build_relations(fan)
+    )
+    system = assemble_system(fan, relations=doubled, e_index=star.e_index)
+    with pytest.raises(ValueError, match=r"^top cone \d+ .* is not unimodular: across its wall") as info:
+        solve_system(system)
+    assert len(made) == 1
+    ci = int(str(info.value).split()[2])
+    assert 1 in fan.top_cones[ci]
+    cols = sorted(fan.top_cones[ci])
+    assert abs(int_det([[rel.coefficients[r] for r in cols] for rel in doubled])) == 2
 
 
 def test_cone_for_finds_first_containing_cone(star):
