@@ -30,7 +30,8 @@ ray, and the coordinate of the entering ray along the leaving one is
 the ratio of their determinants, +-1. The linear system keys each
 monomial by one packed int (`MonomialKeys`, one byte per ray) and each
 support by a ray bitmask, and decodes to exponent tuples only at its
-public boundary; the recursive evaluator keys its memo by exponent tuple.
+public boundary; the recursive evaluator keys its memo by the same bytes,
+one per ray in ray order, which its argument check builds anyway.
 """
 
 from __future__ import annotations
@@ -303,10 +304,11 @@ class ConeAtlas:
     them; it is the engines' one containment test. `rows` gives, per top
     cone, the coordinates of the rays outside the cone in the basis of
     its rays (`vectors[r]` for ray r). The first cone asked for is read
-    off the integer inverse of its matrix; every later cone that shares
-    a wall with a filled one is filled from it by one exchange pivot, so
-    a fan whose top cones are connected through walls costs one inverse.
-    Both engines read one atlas, so a fan's coordinates are computed once."""
+    off the integer inverse of its matrix; every later cone is filled by
+    exchange pivots along a shortest chain of walls from a filled one, so
+    a fan whose top cones are connected through walls costs one inverse
+    in any order of calls. Both engines read one atlas, so a fan's
+    coordinates are computed once."""
 
     def __init__(self, vectors: Sequence[Sequence[int]], top_cones: Sequence[frozenset[int]]):
         self.vectors = tuple(tuple(v) for v in vectors)
@@ -346,26 +348,56 @@ class ConeAtlas:
         not vanish: (rp, coeff) by increasing rp. Computed whole on the
         first call for the cone and returned from the cache after.
 
-        The first call pivots from a filled top cone sharing a wall (all
-        but one ray) with ci, and inverts ci's matrix only when there is
-        none. A cone that is not unimodular in `vectors` raises
-        ValueError on its first call."""
+        The first call pivots along a shortest path of walls (two top
+        cones share a wall when they share all but one ray) from a filled
+        cone to ci, filling every cone on the way, and inverts ci's
+        matrix only when no filled cone is reached. A cone that is not
+        unimodular in `vectors` raises ValueError naming it."""
         got = self._rows.get(ci)
         if got is None:
-            mask, masks = self._masks[ci], self._masks
-            wall = len(self.vectors[0]) - 1
-            src = next((cj for cj in self._rows if (masks[cj] & mask).bit_count() == wall), None)
-            got = self._rows[ci] = self._inverted(ci) if src is None else self._pivoted(src, ci)
+            path = self._wall_path(ci)
+            if path is None:
+                got = self._rows[ci] = self._inverted(ci)
+            else:
+                for src, cj in zip(path, path[1:]):
+                    got = self._rows[cj] = self._pivoted(src, cj)
         return got
+
+    def _wall_path(self, ci: int) -> list[int] | None:
+        """Top cones from a filled one to ci, each sharing a wall with
+        the next, found by breadth-first search out of ci, so no path is
+        shorter; None when no filled cone is reached."""
+        masks = self._masks
+        wall = len(self.vectors[0]) - 1
+        back = {ci: ci}
+        layer = [ci]
+        while layer:
+            reached = []
+            for cj in layer:
+                for ck, mask in enumerate(masks):
+                    if ck not in back and (mask & masks[cj]).bit_count() == wall:
+                        back[ck] = cj
+                        if ck in self._rows:
+                            path = [ck]
+                            while path[-1] != ci:
+                                path.append(back[path[-1]])
+                            return path
+                        reached.append(ck)
+            layer = reached
+        return None
 
     def _inverted(self, ci: int) -> dict[int, tuple[tuple[int, int], ...]]:
         """Cone ci's rows read off the integer inverse of its matrix."""
         cols = sorted(self.top_cones[ci])
         mat = [[self.vectors[r][j] for r in cols] for j in range(len(self.vectors[0]))]
         outside = [(rp, v) for rp, v in enumerate(self.vectors) if rp not in cols]
+        try:
+            inverse = unimodular_inverse(mat)
+        except ValueError as exc:
+            raise ValueError(f"top cone {ci} {cols} cannot be inverted: {exc}") from exc
         return {
             rho: tuple((rp, c) for rp, v in outside if (c := sum(map(operator.mul, mu, v))))
-            for rho, mu in zip(cols, unimodular_inverse(mat))
+            for rho, mu in zip(cols, inverse)
         }
 
     def _pivoted(self, src: int, ci: int) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -497,10 +529,13 @@ class IntersectionEngine:
 
     The recursive evaluator and the block solver find containing cones
     and cone coordinates in `atlas`, so each cone's coordinates are
-    computed once per engine, by a pivot from a neighbouring cone when
-    one is filled. The linear system is assembled and solved lazily on
-    first use. The verification suite rebuilds every row from the raw
-    relations, so a fault in the shared atlas still shows.
+    computed once per engine, by pivots along walls from a filled cone
+    when one is reachable. The linear system is assembled and solved
+    lazily on first use. The evaluator's memo maps a monomial's key, one
+    exponent byte per ray in ray order (`int.from_bytes` of it is the
+    system's packed key), to its value. The verification suite rebuilds
+    every row from the raw relations, so a fault in the shared atlas
+    still shows.
     """
 
     def __init__(self, fan: Fan, e_index: int = 0):
@@ -512,7 +547,7 @@ class IntersectionEngine:
         self.e_index = e_index
         self._ambient = fan.ambient
         self.atlas = ConeAtlas(fan.rays, fan.top_cones)
-        self._memo: dict[Monomial, int] = {}
+        self._memo: dict[bytes, int] = {}
 
     @cached_property
     def system(self) -> LinearSystem:
@@ -533,9 +568,11 @@ class IntersectionEngine:
             )
         return Fraction(sol.e_top)
 
-    def _checked(self, mono: Sequence[int]) -> Monomial:
-        """`mono` as a tuple of exact ints, one per ray, nonnegative and
-        of degree equal to the ambient dimension.
+    def _checked(self, mono: Sequence[int]) -> bytes:
+        """`mono` as its memo key: one byte per ray, in ray order (the
+        bytes `MonomialKeys.pack` reads), after checking that it has one
+        integer exponent per ray, none negative, of degree equal to the
+        ambient dimension.
 
         `mono` may be any iterable; it is read once. An exponent that is
         not an integer (a float, a Fraction, a str) raises TypeError
@@ -547,8 +584,9 @@ class IntersectionEngine:
 
         One `bytes` conversion checks that every exponent is an integer
         from 0 to 255; when it and the length and degree tests pass, the
-        monomial is valid. Otherwise the checks above run one by one on
-        the same tuple, so each bad input gets the error they give."""
+        monomial is valid and those bytes are its key. Otherwise the
+        checks above run one by one on the same tuple, so each bad input
+        gets the error they give."""
         key = tuple(mono)
         try:
             packed = bytes(key)
@@ -556,7 +594,7 @@ class IntersectionEngine:
             pass
         else:
             if len(packed) == self._n_rays and sum(packed) == self._ambient:
-                return tuple(packed)
+                return packed
         key = tuple(map(operator.index, key))
         if len(key) != self._n_rays:
             raise ValueError("monomial length does not match the ray count")
@@ -564,7 +602,7 @@ class IntersectionEngine:
             raise ValueError("negative exponents are not allowed")
         if sum(key) != self._ambient:
             raise ValueError("degree must equal the ambient dimension")
-        return key
+        return bytes(key)
 
     def system_value(self, mono: Sequence[int]) -> int | None:
         """Value according to the linear system: a square-free constant
@@ -583,7 +621,8 @@ class IntersectionEngine:
         `mono` is checked as `_checked` describes, with the errors it
         gives in its order; a valid monomial whose exceptional exponent
         is 0 then raises UnsupportedMonomialError. A monomial already
-        evaluated is answered from the memo."""
+        evaluated is answered from the memo by the bytes the check
+        returns: one conversion and one dict probe."""
         key = self._checked(mono)
         if key[self.e_index] < 1:
             raise UnsupportedMonomialError(
@@ -593,10 +632,10 @@ class IntersectionEngine:
         value = self._memo.get(key)
         return self._eval(key) if value is None else value
 
-    def _eval(self, mono: Monomial) -> int:
+    def _eval(self, mono: bytes) -> int:
         """`evaluate` without its argument checks, for monomials that
-        come from the system itself: a tuple of nonnegative ints, one
-        per ray, of degree equal to the ambient dimension."""
+        come from the system itself: one exponent byte per ray, of degree
+        equal to the ambient dimension."""
         cached = self._memo.get(mono)
         if cached is not None:
             return cached
@@ -611,9 +650,9 @@ class IntersectionEngine:
                 # an n-ray cone, so it equals that cone's ray set.
                 value = 1
             else:
-                base = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1 :]
+                base = mono[:rho] + bytes((mono[rho] - 1,)) + mono[rho + 1 :]
                 value = 0
                 for rp, coeff in self.atlas.rows(ci)[rho]:
-                    value -= coeff * self._eval(base[:rp] + (base[rp] + 1,) + base[rp + 1 :])
+                    value -= coeff * self._eval(base[:rp] + bytes((base[rp] + 1,)) + base[rp + 1 :])
         self._memo[mono] = value
         return value

@@ -463,25 +463,27 @@ def _engine_checks(stabilizer: Stabilizer, engine: IntersectionEngine) -> list[C
     # the row sums. The bumps by rays of the support are the block's
     # unknowns, looked up in the solution by packed key. Every monomial
     # comes from the system itself, so the sweep skips the argument
-    # checks of the public evaluate.
+    # checks of the public evaluate and hands it the packed key's bytes,
+    # which are the evaluator's memo key.
     system = engine.system
     evaluate = engine._eval
     unpack = system.keys.unpack
+    n_rays = system.keys.n_rays
     ray_terms = [
-        (r, 1 << r, system.keys.ones[r], terms)
+        (1 << r, system.keys.ones[r], terms)
         for r, column in enumerate(zip(*(rel.coefficients for rel in system.relations)))
         if (terms := [(j, coeff) for j, coeff in enumerate(column) if coeff])
     ]
     mismatched: dict[int, None] = {}
     bad_rows: list[tuple[int, int]] = []
     for mkey, s in system.blocks:
-        mult = unpack(mkey)
         supp = s | 1 << system.e_index
         sums = [0] * len(system.relations)
-        for r, bit, one, terms in ray_terms:
-            value = evaluate(mult[:r] + (mult[r] + 1,) + mult[r + 1 :])
-            if supp & bit and sol.by_key.get(mkey + one) != value:
-                mismatched[mkey + one] = None
+        for bit, one, terms in ray_terms:
+            key = mkey + one
+            value = evaluate(key.to_bytes(n_rays, "big"))
+            if supp & bit and sol.by_key.get(key) != value:
+                mismatched[key] = None
             if value:
                 for j, coeff in terms:
                     sums[j] += coeff * value

@@ -35,7 +35,7 @@ def reference_evaluate(engine, mono):
             "the recursive engine only evaluates monomials with a "
             "positive exceptional exponent"
         )
-    return engine._eval(key)
+    return engine._eval(bytes(key))
 
 
 def reference_system_value(engine, mono):
@@ -210,15 +210,20 @@ def test_a_memo_hit_does_not_enter_the_recursion(star, monkeypatch):
         assert eng.evaluate(make(mono)) == value
 
 
-def test_memo_keys_are_tuples_of_exact_ints(star):
+def test_memo_keys_are_one_byte_per_ray(star):
     eng = IntersectionEngine(star.fan, star.e_index)
-    assert eng.evaluate((True,) * 10 + (False,) * 3) == eng.evaluate((1,) * 10 + (0,) * 3)
-    assert eng.evaluate((Index(7), Index(2), Index(1)) + (Index(0),) * 10) == eng.evaluate(
-        (7, 2, 1) + (0,) * 10
-    )
-    assert len(eng._memo) > 2
-    assert all(type(key) is tuple for key in eng._memo)
-    assert all(type(x) is int for key in eng._memo for x in key)
+    bools, index = (True,) * 10 + (False,) * 3, (Index(7), Index(2), Index(1)) + (Index(0),) * 10
+    ints = {bools: (1,) * 10 + (0,) * 3, index: (7, 2, 1) + (0,) * 10}
+    for mono in ints:
+        eng.evaluate(mono)
+    filled = dict(eng._memo)
+    assert len(filled) > 2
+    assert all(type(key) is bytes and len(key) == 13 for key in filled)
+    # Bools and `__index__` exponents share the entries of the ints they
+    # convert to: evaluating those ints adds no entry.
+    for mono, same in ints.items():
+        assert eng._memo[bytes(same)] == eng.evaluate(same) == eng.evaluate(mono)
+    assert eng._memo == filled
 
 
 @pytest.mark.parametrize("e_index", [0.0, 1.5, "0", None])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -30,6 +32,7 @@ E_TOP = -1680
 N_MULTIPLIERS = 3311
 N_UNKNOWNS = 21635
 N_ROWS = 33110
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _bump(mono, i):
@@ -456,13 +459,53 @@ def oracle_atlases(star):
     return built
 
 
+def _wall_classes(fan):
+    """Number of classes of top cones joined by chains of shared walls."""
+    unseen = set(range(len(fan.top_cones)))
+    classes = 0
+    while unseen:
+        classes += 1
+        todo = [unseen.pop()]
+        while todo:
+            cone = fan.top_cones[todo.pop()]
+            near = {cj for cj in unseen if len(cone & fan.top_cones[cj]) == fan.ambient - 1}
+            unseen -= near
+            todo += near
+    return classes
+
+
 @pytest.mark.parametrize("name", ["D4", "D4 moved", "A2", "A3", "P2", "blow-up"])
 @given(data=st.data())
 def test_atlas_rows_match_every_cone_inverse_in_any_order(oracle_atlases, name, data):
     fan, want = oracle_atlases[name]
     atlas = ConeAtlas(fan.rays, fan.top_cones)
-    for ci in data.draw(st.permutations(range(len(fan.top_cones)))):
-        assert list(atlas.rows(ci).items()) == want[ci]
+    with pytest.MonkeyPatch.context() as patch:
+        made = _counting_inverse(patch)
+        for ci in data.draw(st.permutations(range(len(fan.top_cones)))):
+            assert list(atlas.rows(ci).items()) == want[ci]
+    # Every cone after the first is pivoted along walls from a filled
+    # one: one inverse per class of wall-connected cones, and each of
+    # these fans is one class.
+    assert len(made) == _wall_classes(fan) == 1
+
+
+def test_a_stream_pass_at_any_offset_takes_one_inverse(star, monkeypatch):
+    # The benchmark's seed-1 stream, rotated as a pass started at offset
+    # 4000 rotates it: that pass asks for a cone before any of its wall
+    # neighbours is filled, so pivoting only from a direct neighbour
+    # would take a second inverse.
+    spec = importlib.util.spec_from_file_location("a4toric_bench_stream", BENCH / "stream.py")
+    stream_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stream_module)
+    stream, _ = stream_module.generate(1, star.fan.top_cones, len(star.fan.rays), star.e_index)
+    body = stream[:-1]
+    made = _counting_inverse(monkeypatch)
+    for offset in (0, 4000):
+        eng = IntersectionEngine(star.fan, star.e_index)
+        for mono in body[offset:] + body[:offset] + stream[-1:]:
+            eng.evaluate(mono)
+        assert len(made) == 1, offset
+        made.clear()
 
 
 def test_a_non_unimodular_cone_is_named_by_its_pivot(star, monkeypatch):
@@ -483,6 +526,29 @@ def test_a_non_unimodular_cone_is_named_by_its_pivot(star, monkeypatch):
     assert 1 in fan.top_cones[ci]
     cols = sorted(fan.top_cones[ci])
     assert abs(int_det([[rel.coefficients[r] for r in cols] for rel in doubled])) == 2
+
+
+def test_a_non_unimodular_first_cone_is_named_by_its_inverse(star, monkeypatch):
+    # Ray 12 doubled in every relation puts determinant +-2 on each cone
+    # through it, the solve's first cone among them: that cone is
+    # inverted, and the error names it and its rays.
+    made = _counting_inverse(monkeypatch)
+    fan = star.fan
+    doubled = tuple(
+        rel._replace(coefficients=rel.coefficients[:12] + (2 * rel.coefficients[12],))
+        for rel in build_relations(fan)
+    )
+    system = assemble_system(fan, relations=doubled, e_index=star.e_index)
+    _, s = system.blocks[-1]
+    first = ConeAtlas(fan.rays, fan.top_cones).cone_for(s | 1 << star.e_index)
+    assert 12 in fan.top_cones[first]
+    with pytest.raises(ValueError) as info:
+        solve_system(system)
+    assert str(info.value) == (
+        f"top cone {first} {sorted(fan.top_cones[first])} cannot be inverted: "
+        "matrix is not unimodular (determinant 2)"
+    )
+    assert len(made) == 1
 
 
 def test_cone_for_finds_first_containing_cone(star):

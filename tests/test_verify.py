@@ -78,8 +78,8 @@ def test_row_sweep_counts_the_rows_iter_rows_gives(star, stabilizer, system_rows
     # so the corrupted value spreads to every entry computed from it.
     last = eng.system.multipliers[-1]
     mono = (last[0] + 1,) + last[1:]
-    eng._eval(mono)
-    eng._memo[mono] += 1
+    eng._eval(bytes(mono))
+    eng._memo[bytes(mono)] += 1
     report = run_all(star=star, stabilizer=stabilizer, engine=eng)
     check = _check(report, "engine_agreement")
     assert not check.passed
