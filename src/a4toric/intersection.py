@@ -31,7 +31,10 @@ the ratio of their determinants, +-1. The linear system keys each
 monomial by one packed int (`MonomialKeys`, one byte per ray) and each
 support by a ray bitmask, and decodes to exponent tuples only at its
 public boundary; the recursive evaluator keys its memo by the same bytes,
-one per ray in ray order, which its argument check builds anyway.
+one per ray in ray order. Its public `evaluate` converts its argument to
+those bytes once and probes the memo before any check: the memo holds
+only keys the checks accept, so a repeated monomial is answered at once
+and only a miss is checked.
 """
 
 from __future__ import annotations
@@ -533,9 +536,10 @@ class IntersectionEngine:
     when one is reachable. The linear system is assembled and solved
     lazily on first use. The evaluator's memo maps a monomial's key, one
     exponent byte per ray in ray order (`int.from_bytes` of it is the
-    system's packed key), to its value. The verification suite rebuilds
-    every row from the raw relations, so a fault in the shared atlas
-    still shows.
+    system's packed key), to its value; every key in it passes the
+    argument checks, so `evaluate` answers a hit before checking. The
+    verification suite rebuilds every row from the raw relations, so a
+    fault in the shared atlas still shows.
     """
 
     def __init__(self, fan: Fan, e_index: int = 0):
@@ -568,33 +572,29 @@ class IntersectionEngine:
             )
         return Fraction(sol.e_top)
 
-    def _checked(self, mono: Sequence[int]) -> bytes:
-        """`mono` as its memo key: one byte per ray, in ray order (the
-        bytes `MonomialKeys.pack` reads), after checking that it has one
-        integer exponent per ray, none negative, of degree equal to the
-        ambient dimension.
+    def _checked(self, key: tuple, packed: bytes | None) -> bytes:
+        """The memo key of the monomial `key`: one byte per ray, in ray
+        order (the bytes `MonomialKeys.pack` reads), after checking that
+        `key` has one integer exponent per ray, none negative, of degree
+        equal to the ambient dimension. `packed` is `bytes(key)` when the
+        caller has built it, and None when that conversion raised or was
+        not tried.
 
-        `mono` may be any iterable; it is read once. An exponent that is
-        not an integer (a float, a Fraction, a str) raises TypeError
-        rather than being truncated; bools and objects with `__index__`
-        count as the integers they convert to. The checks run in this
-        order, and the first that fails raises: every exponent is an
-        integer (TypeError), the length is the ray count, no exponent is
-        negative, the degree is the ambient dimension (each ValueError).
+        An exponent that is not an integer (a float, a Fraction, a str)
+        raises TypeError rather than being truncated; bools and objects
+        with `__index__` count as the integers they convert to. The checks
+        run in this order, and the first that fails raises: every exponent
+        is an integer (TypeError), the length is the ray count, no
+        exponent is negative, the degree is the ambient dimension (each
+        ValueError).
 
-        One `bytes` conversion checks that every exponent is an integer
-        from 0 to 255; when it and the length and degree tests pass, the
-        monomial is valid and those bytes are its key. Otherwise the
-        checks above run one by one on the same tuple, so each bad input
-        gets the error they give."""
-        key = tuple(mono)
-        try:
-            packed = bytes(key)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if len(packed) == self._n_rays and sum(packed) == self._ambient:
-                return packed
+        A successful conversion means every exponent is an integer from 0
+        to 255; when the length and degree tests pass too, the monomial is
+        valid and `packed` is its key. Otherwise the checks above run one
+        by one on the same tuple, so each bad input gets the error they
+        give, and a valid one the same bytes."""
+        if packed is not None and len(packed) == self._n_rays and sum(packed) == self._ambient:
+            return packed
         key = tuple(map(operator.index, key))
         if len(key) != self._n_rays:
             raise ValueError("monomial length does not match the ray count")
@@ -607,8 +607,11 @@ class IntersectionEngine:
     def system_value(self, mono: Sequence[int]) -> int | None:
         """Value according to the linear system: a square-free constant
         (1 on the ray set of a top cone, else 0), a solved unknown, or
-        None if the monomial is not a column."""
-        key = self._checked(mono)
+        None if the monomial is not a column.
+
+        `mono` may be any iterable; it is read once and checked as
+        `_checked` describes."""
+        key = self._checked(tuple(mono), None)
         if max(key) <= 1:
             # n rays inside an n-ray cone are its ray set.
             return int(self.atlas.cone_for(sum(1 << i for i, x in enumerate(key) if x)) is not None)
@@ -618,24 +621,41 @@ class IntersectionEngine:
         """Recursive engine: exact value of any degree-n monomial with
         positive exceptional exponent.
 
-        `mono` is checked as `_checked` describes, with the errors it
-        gives in its order; a valid monomial whose exceptional exponent
-        is 0 then raises UnsupportedMonomialError. A monomial already
-        evaluated is answered from the memo by the bytes the check
-        returns: one conversion and one dict probe."""
-        key = self._checked(mono)
-        if key[self.e_index] < 1:
+        `mono` may be any iterable; it is read once. Its one `bytes`
+        conversion is the memo key, so a monomial already evaluated is
+        answered by one conversion and one dict probe, before any check:
+        the memo holds only keys the checks accept (see `_eval`), so no
+        input they reject can match one. On a miss, `mono` is checked as
+        `_checked` describes, with the errors it gives in its order and
+        the bytes already built; a valid monomial whose exceptional
+        exponent is 0 then raises UnsupportedMonomialError."""
+        key = tuple(mono)
+        try:
+            packed = bytes(key)
+        except (TypeError, ValueError):
+            packed = None
+        else:
+            value = self._memo.get(packed)
+            if value is not None:
+                return value
+        packed = self._checked(key, packed)
+        if packed[self.e_index] < 1:
             raise UnsupportedMonomialError(
                 "the recursive engine only evaluates monomials with a "
                 "positive exceptional exponent"
             )
-        value = self._memo.get(key)
-        return self._eval(key) if value is None else value
+        return self._eval(packed)
 
     def _eval(self, mono: bytes) -> int:
-        """`evaluate` without its argument checks, for monomials that
-        come from the system itself: one exponent byte per ray, of degree
-        equal to the ambient dimension."""
+        """`evaluate` without its argument checks, for keys that
+        `_checked` accepts with a positive exceptional exponent: one byte
+        per ray, of degree equal to the ambient dimension. Callers
+        pass only such keys (`evaluate` after its checks, verify's sweep
+        the system's own monomials), and every child the recursion stores
+        is one too: it keeps its parent's length and degree, and the
+        exceptional byte loses 1 only when it is at least 2. So the memo
+        holds no key that `evaluate`'s checks reject, which is what lets
+        `evaluate` probe it first."""
         cached = self._memo.get(mono)
         if cached is not None:
             return cached

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,18 @@ def passing_report(star, stabilizer, engine):
     report = run_all(star, stabilizer, engine)
     assert report.all_passed, [c for c in report.checks if not c.passed]
     return report
+
+
+@pytest.fixture(scope="session")
+def seed_one_stream(star):
+    """The benchmark's seed-1 monomial stream on the D4 fan, generated by
+    `bench/stream.py`, which is loaded read-only from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "stream.py"
+    spec = importlib.util.spec_from_file_location("a4toric_bench_stream", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    stream, _ = module.generate(1, star.fan.top_cones, len(star.fan.rays), star.e_index)
+    return stream
 
 
 @dataclass(frozen=True)

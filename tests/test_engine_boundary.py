@@ -1,6 +1,9 @@
 """The argument checks of `IntersectionEngine.evaluate` and `system_value`
 against the explicit checks they replaced: every input gets the same
-value, or the same exception type and message."""
+value, or the same exception type and message, on a fresh engine and on
+one whose memo a full verification sweep has filled, where `evaluate`
+answers a repeated monomial before checking it. That is sound only
+because the memo holds no key the checks reject, which is tested too."""
 
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a4toric.intersection import IntersectionEngine, UnsupportedMonomialError
-from a4toric.verify import projective_plane_fan
+from a4toric.verify import plane_blowup_fan, projective_plane_fan
 
 
 def reference_checked(engine, mono):
@@ -95,8 +98,22 @@ def plane():
 
 
 @pytest.fixture(scope="module")
-def engines(engine, plane):
-    return {"D4": engine, "P2": plane}
+def cold(star):
+    """A D4 engine that no sweep has filled: the cases below fill it."""
+    return IntersectionEngine(star.fan, star.e_index)
+
+
+@pytest.fixture(scope="module")
+def warm(engine, passing_report):
+    """The session's D4 engine after `run_all`, whose check-7 sweep has
+    filled its memo with every system monomial: valid inputs hit it."""
+    assert len(engine._memo) > 21635
+    return engine
+
+
+@pytest.fixture(scope="module")
+def engines(cold, warm, plane):
+    return {"D4": cold, "D4 warm": warm, "P2": plane}
 
 
 D4_TOP = (10,) + (0,) * 12
@@ -113,6 +130,7 @@ D4_CASES = {
     "negative": (11, -1) + (0,) * 11,
     "negative then float": (-1, 1.5) + (0,) * 11,
     "256 and negative": (256, -246) + (0,) * 11,
+    "wraps to E^9*D1": (9 + 256, 1 - 256) + (0,) * 11,
     "256": (256,) + (0,) * 12,
     "huge": (10**30, -(10**30) + 10) + (0,) * 11,
     "huge negative": (-(10**30),) + (0,) * 12,
@@ -136,12 +154,41 @@ def holds(container, exps):
     return True
 
 
-@pytest.mark.parametrize(
+EXPLICIT = pytest.mark.parametrize(
     "case, container",
     [(case, c) for case in sorted(D4_CASES) for c in sorted(CONTAINERS) if holds(c, D4_CASES[case])],
 )
-def test_explicit_cases_match_the_reference(engine, case, container):
-    assert_same(engine, lambda: CONTAINERS[container](D4_CASES[case]))
+
+
+@EXPLICIT
+def test_explicit_cases_match_the_reference(cold, case, container):
+    assert_same(cold, lambda: CONTAINERS[container](D4_CASES[case]))
+
+
+@EXPLICIT
+def test_explicit_cases_match_the_reference_on_a_warm_engine(warm, case, container):
+    assert_same(warm, lambda: CONTAINERS[container](D4_CASES[case]))
+
+
+@pytest.mark.parametrize(
+    "case, near",
+    [
+        ("integral float", D4_TOP),
+        ("Fraction", (9, 1) + (0,) * 11),
+        ("str", (9, 1) + (0,) * 11),
+        # No byte form at all: the conversion fails on 256 rather than on
+        # the negative exponent the checks then name.
+        ("256 and negative", None),
+        # Each exponent is an E^9*D1 byte modulo 256: nothing wraps.
+        ("wraps to E^9*D1", (9, 1) + (0,) * 11),
+    ],
+)
+def test_rejected_inputs_near_a_memo_key_raise_on_a_warm_engine(warm, case, near):
+    if near is not None:
+        assert bytes(near) in warm._memo
+    got = outcome(IntersectionEngine.evaluate, warm, lambda: list(D4_CASES[case]))
+    assert got == outcome(reference_evaluate, warm, lambda: list(D4_CASES[case]))
+    assert got[0] in (TypeError, ValueError)
 
 
 @pytest.mark.parametrize(
@@ -185,7 +232,7 @@ def near_monomials(draw, n_rays, ambient):
 
 @settings(max_examples=150)
 @given(
-    name=st.sampled_from(["D4", "P2"]),
+    name=st.sampled_from(["D4", "D4 warm", "P2"]),
     container=st.sampled_from(sorted(CONTAINERS)),
     data=st.data(),
 )
@@ -202,12 +249,20 @@ def test_a_memo_hit_does_not_enter_the_recursion(star, monkeypatch):
     mono = (9, 1) + (0,) * 11
     value = eng.evaluate(mono)
 
-    def recursion(mono):
-        raise AssertionError(f"_eval entered for {mono}")
+    def entered(name):
+        def fail(*args):
+            raise AssertionError(f"{name} entered for {args}")
 
-    monkeypatch.setattr(eng, "_eval", recursion)
+        return fail
+
+    monkeypatch.setattr(eng, "_checked", entered("_checked"))
+    monkeypatch.setattr(eng, "_eval", entered("_eval"))
     for make in CONTAINERS.values():
         assert eng.evaluate(make(mono)) == value
+    assert eng.evaluate([Index(x) for x in mono]) == value
+    # A miss goes through the checks.
+    with pytest.raises(AssertionError, match="_checked entered"):
+        eng.evaluate((8, 2) + (0,) * 11)
 
 
 def test_memo_keys_are_one_byte_per_ray(star):
@@ -224,6 +279,40 @@ def test_memo_keys_are_one_byte_per_ray(star):
     for mono, same in ints.items():
         assert eng._memo[bytes(same)] == eng.evaluate(same) == eng.evaluate(mono)
     assert eng._memo == filled
+
+
+def assert_memo_holds_only_accepted_keys(eng):
+    """Every memo key is one the checks of `evaluate` accept: `bytes`, one
+    per ray, of degree the ambient dimension, with a positive exceptional
+    exponent."""
+    assert eng._memo
+    for key in eng._memo:
+        assert type(key) is bytes, key
+        assert reference_checked(eng, key) == tuple(key), key
+        assert key[eng.e_index] >= 1, key
+
+
+def test_the_memo_holds_only_accepted_keys_after_a_sweep(warm):
+    assert_memo_holds_only_accepted_keys(warm)
+
+
+def test_the_memo_holds_only_accepted_keys_after_a_stream_pass(star, seed_one_stream):
+    eng = IntersectionEngine(star.fan, star.e_index)
+    for mono in seed_one_stream:
+        eng.evaluate(mono)
+    assert_memo_holds_only_accepted_keys(eng)
+
+
+def test_the_memo_holds_only_accepted_keys_on_the_plane_blowup():
+    # The exceptional ray is the last, so a key's first byte says nothing.
+    eng = IntersectionEngine(plane_blowup_fan(), e_index=2)
+    for mono in [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2), (3, -1, 0)]:
+        try:
+            eng.evaluate(mono)
+        except (UnsupportedMonomialError, ValueError):
+            assert mono[2] < 1
+    assert_memo_holds_only_accepted_keys(eng)
+    assert sorted(eng._memo) == [b"\x00\x00\x02", b"\x00\x01\x01", b"\x01\x00\x01"]
 
 
 @pytest.mark.parametrize("e_index", [0.0, 1.5, "0", None])

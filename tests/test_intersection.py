@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -32,7 +30,6 @@ E_TOP = -1680
 N_MULTIPLIERS = 3311
 N_UNKNOWNS = 21635
 N_ROWS = 33110
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _bump(mono, i):
@@ -489,15 +486,12 @@ def test_atlas_rows_match_every_cone_inverse_in_any_order(oracle_atlases, name, 
     assert len(made) == _wall_classes(fan) == 1
 
 
-def test_a_stream_pass_at_any_offset_takes_one_inverse(star, monkeypatch):
+def test_a_stream_pass_at_any_offset_takes_one_inverse(star, seed_one_stream, monkeypatch):
     # The benchmark's seed-1 stream, rotated as a pass started at offset
     # 4000 rotates it: that pass asks for a cone before any of its wall
     # neighbours is filled, so pivoting only from a direct neighbour
     # would take a second inverse.
-    spec = importlib.util.spec_from_file_location("a4toric_bench_stream", BENCH / "stream.py")
-    stream_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(stream_module)
-    stream, _ = stream_module.generate(1, star.fan.top_cones, len(star.fan.rays), star.e_index)
+    stream = seed_one_stream
     body = stream[:-1]
     made = _counting_inverse(monkeypatch)
     for offset in (0, 4000):
