@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -339,4 +340,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    """Run `main` and end the process with its status once standard output
+    and standard error are flushed, without tearing the interpreter down:
+    the command has written everything it will write, and freeing every
+    object at exit only costs time. An exception that escapes `main`,
+    a broken pipe among them, propagates with its traceback as before."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)

@@ -231,33 +231,53 @@ def assemble_system(
     keys = MonomialKeys(n_rays, n)
     ones = keys.ones
     ebit = 1 << e_index
-    # Every subset of a top cone through E, E's bit left out, walked as
-    # the submasks of the cone's mask.
-    admissible = {0}
-    for full in (sum(1 << r for r in c) ^ ebit for c in fan.top_cones if e_index in c):
-        sub = full
-        while sub:
-            admissible.add(sub)
-            sub = (sub - 1) & full
-    blocks = []
+    # Every subset of a top cone through E, E's bit left out: a cone's
+    # subsets are doubled by each of its rays in turn.
+    admissible = set()
+    for cone in fan.top_cones:
+        if e_index in cone:
+            subs = [0]
+            for r in cone - {e_index}:
+                bit = 1 << r
+                subs += [x | bit for x in subs]
+            admissible.update(subs)
+    # The divisor part of a support's key, read from one table per eight
+    # rays of its mask: entry v of table j sums ones[8j + i] over the set
+    # bits i of v.
+    tables = []
+    for lo in range(0, n_rays, 8):
+        table = [0]
+        for o in ones[lo : lo + 8]:
+            table += [x + o for x in table]
+        tables.append(table)
+    by_size: list[list[int]] = [[] for _ in range(n - 1)]
     for s in admissible:
         t = s.bit_count()
-        if t <= n - 2:
-            divisors = sum(o for r, o in enumerate(ones) if s >> r & 1)
-            blocks.append(((n - 1 - t) * ones[e_index] + divisors, s))
-    # Among supports of one size, the key is larger when the first ray
-    # where two supports differ belongs to it.
-    blocks.sort(key=lambda b: (b[1].bit_count(), -b[0]))
-    unknowns = sorted(
-        key + o for key, s in blocks for r, o in enumerate(ones) if (s | ebit) >> r & 1
-    )
+        if t < n - 1:
+            by_size[t].append(s)
+    blocks = []
+    for t, supports in enumerate(by_size):
+        found = [(n - 1 - t) * ones[e_index]] * len(supports)
+        for j, table in enumerate(tables):
+            found = [k + table[s >> 8 * j & 255] for k, s in zip(found, supports)]
+        # Among supports of one size, the key is larger when the first
+        # ray where two supports differ belongs to it; keys are distinct.
+        blocks += sorted(zip(found, supports), reverse=True)
+    unknowns = []
+    for key, s in blocks:
+        m = s | ebit
+        while m:
+            low = m & -m
+            unknowns.append(key + ones[low.bit_length() - 1])
+            m ^= low
+    unknowns.sort()
     return LinearSystem(
         fan=fan,
         e_index=e_index,
         relations=relations,
         keys=keys,
         blocks=tuple(blocks),
-        columns={key: col for col, key in enumerate(unknowns)},
+        columns=dict(zip(unknowns, range(len(unknowns)))),
     )
 
 
@@ -456,7 +476,6 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     fan = system.fan
     e = system.e_index
     n = fan.ambient
-    n_rays = len(fan.rays)
     # Ray vectors come from the stored relations, so the solver works on
     # the system's own equations even when they are not the fan's.
     vectors = tuple(zip(*(rel.coefficients for rel in system.relations)))
@@ -467,31 +486,57 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     keys = system.keys
     ones = keys.ones
     columns = system.columns
-    holders, holding, rows = atlas.holders, atlas.holding, atlas.rows
+    holders, rows = atlas.holders, atlas.rows
+    ebit = 1 << e
+    # The top cones holding each support, in block order, where the
+    # subsets of a support come before it: those holding the support
+    # without its lowest ray, ANDed with that ray's.
+    held_of = {0: holders[e]}
+    for _, s in system.blocks:
+        if s not in held_of:
+            low = s & -s
+            held_of[s] = held_of[s ^ low] & holders[low.bit_length() - 1]
+    # Per top cone, built when a block first uses it: the rays outside
+    # the cone that its rows use, as (holders, ones), and per ray of the
+    # cone its (bit, ones, ray, terms), each term (position among those
+    # rays, coefficient).
+    plans: dict[int, tuple[tuple, tuple]] = {}
     solved = dict.fromkeys(columns.values(), 0)
     values: dict[int, int] = {}
     problems: list[str] = []
     for mkey, s in reversed(system.blocks):
-        supp = s | 1 << e
+        supp = s | ebit
         top = s.bit_count() == n - 2
-        # The top cones holding the support; the block is solved in the
-        # first of them.
-        held = holding(supp)
+        # The block is solved in the first top cone holding its support.
+        held = held_of[s]
         if not held:
             raise ValueError(f"block {format_monomial(keys.unpack(mkey))} lies in no top cone")
-        # The multiplier bumped by each ray outside the support; a bump
-        # whose support lies in no top cone is 0 and left out.
-        bumped = {
-            rho: 1 if top else values[mkey + ones[rho]]
-            for rho in range(n_rays)
-            if not supp >> rho & 1 and held & holders[rho]
-        }
-        for ray_k, row in rows((held & -held).bit_length() - 1).items():
+        ci = (held & -held).bit_length() - 1
+        plan = plans.get(ci)
+        if plan is None:
+            cone = rows(ci)
+            used = sorted({rp for row in cone.values() for rp, _ in row})
+            position = {rp: i for i, rp in enumerate(used)}
+            plan = plans[ci] = (
+                tuple((holders[rp], ones[rp]) for rp in used),
+                tuple(
+                    (1 << k, ones[k], k, tuple((position[rp], coeff) for rp, coeff in row))
+                    for k, row in cone.items()
+                ),
+            )
+        outside, cone_rows = plan
+        # The multiplier bumped by each ray outside the cone; a bump
+        # whose support lies in no top cone is 0.
+        if top:
+            bumps = [1 if held & h else 0 for h, _ in outside]
+        else:
+            bumps = [values[mkey + o] if held & h else 0 for h, o in outside]
+        for bit, one, ray_k, terms in cone_rows:
             y = 0
-            for rp, coeff in row:
-                y -= coeff * bumped.get(rp, 0)
-            if supp >> ray_k & 1:
-                ukey = mkey + ones[ray_k]
+            for i, coeff in terms:
+                y -= coeff * bumps[i]
+            if supp & bit:
+                ukey = mkey + one
                 values[ukey] = y
                 col = columns.get(ukey)
                 if col is None:
@@ -502,7 +547,8 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
                 else:
                     solved[col] += 1
             else:
-                y -= bumped[ray_k]
+                # A ray of the cone outside the support: its bump is held.
+                y -= 1 if top else values[mkey + one]
                 if y != 0:
                     problems.append(
                         f"block {format_monomial(keys.unpack(mkey))}: coefficient of ray "

@@ -188,14 +188,15 @@ def _permutes_facets(
 ) -> bool:
     """Whether every facet names rays of the fan only and every element's
     ray permutation is a bijection of the rays that maps the facets onto
-    themselves (`facet_permutation_test`)."""
+    themselves (`facet_permutation_test`). Each distinct permutation is
+    tested once: g and -g induce the same one."""
     every = list(range(n_rays))
     if not set().union(*facets) <= set(every):
         return False
     permutes = facet_permutation_test(n_rays, facets)
     return all(
-        sorted(el.ray_permutation) == every and permutes(el.ray_permutation)
-        for el in stabilizer.elements
+        sorted(perm) == every and permutes(perm)
+        for perm in dict.fromkeys(el.ray_permutation for el in stabilizer.elements)
     )
 
 

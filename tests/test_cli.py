@@ -413,14 +413,14 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_subprocess_smoke(cli_env):
-    proc = subprocess.run(
-        [sys.executable, "-m", "a4toric", "tables", "ltop", "--format", "json", "--reproducible"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=cli_env,
+def _python(cli_env, *args):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=cli_env
     )
+
+
+def test_subprocess_smoke(cli_env):
+    proc = _python(cli_env, "-m", "a4toric", "tables", "ltop", "--format", "json", "--reproducible")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert as_fraction(doc["results"]["variety_value"]) == Fraction(1, 907200)
@@ -437,8 +437,86 @@ def test_fan_report_imports_no_worker_machinery(cli_env):
         "    assert a4toric.cli.main(['fan', 'report']) == 0\n"
         "print(sorted({'pickle', 'multiprocessing'} & set(sys.modules)))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=cli_env
-    )
+    proc = _python(cli_env, "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "golden"),
+    [
+        (["fan", "report", "--format", "json", "--reproducible"], GOLDEN / "fan_report.json"),
+        (["intersection", "e10", "--reproducible"], CLI_GOLDEN / "intersection_e10.txt"),
+        (["tables", "igusa", "--reproducible"], CLI_GOLDEN / "tables_igusa.txt"),
+        (VERIFY_JSON, GOLDEN / "verify.json"),
+    ],
+    ids=["fan", "intersection", "tables", "verify"],
+)
+def test_module_entry_writes_all_output_and_exits_0(cli_env, argv, golden):
+    # The entry point ends the process without interpreter teardown, so
+    # everything buffered must be flushed first; the fan report's JSON
+    # fills more than one buffer.
+    proc = _python(cli_env, "-m", "a4toric", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["tables", "bogus"], "a4toric tables: error: argument which: invalid choice: 'bogus'"),
+        (["intersection", "E^9"], "error: "),
+    ],
+    ids=["parser", "command"],
+)
+def test_module_entry_reports_a_usage_error_with_status_2(cli_env, argv, message):
+    proc = _python(cli_env, "-m", "a4toric", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr
+
+
+def test_module_entry_exits_1_on_a_failed_verify(cli_env):
+    # A failing report stands in for the check suite: what is tested is
+    # the status that reaches the process's exit.
+    code = (
+        "import sys\n"
+        "from a4toric import cli\n"
+        "from a4toric.verify import CheckResult, VerifyReport\n"
+        "failed = CheckResult('injected', 'a failing check', 'ok', 'broken', False)\n"
+        "cli.run_all = lambda *context: VerifyReport((failed,))\n"
+        "sys.argv = ['a4toric', 'verify', '--reproducible']\n"
+        "cli.console_entry()\n"
+    )
+    proc = _python(cli_env, "-c", code)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == "[FAIL] injected: expected ok; got broken\n1 checks: 0 passed, 1 failed\n"
+
+
+def test_module_entry_keeps_the_traceback_of_an_escaping_exception(cli_env):
+    code = (
+        "from a4toric import cli\n"
+        "def broken(argv=None):\n"
+        "    raise KeyError('escaped')\n"
+        "cli.main = broken\n"
+        "cli.console_entry()\n"
+    )
+    proc = _python(cli_env, "-c", code)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("KeyError: 'escaped'\n")
+
+
+def test_every_command_tears_down_clean_under_dev_mode(cli_env):
+    # The entry point's fast exit would hide a worker pipe or file left
+    # open; here main runs with the interpreter's normal teardown, under
+    # -X dev, where such a leak warns, and -W error.
+    code = (
+        "import contextlib, io\n"
+        "from a4toric.cli import main\n"
+        "argvs = [['fan', 'report'], ['intersection', 'e10'], ['tables', 'igusa'], ['verify']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in argvs]\n"
+        "print(codes)\n"
+    )
+    proc = _python(cli_env, "-X", "dev", "-W", "error", "-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0]\n", "")

@@ -15,6 +15,7 @@ from a4toric.intersection import (
     InconsistentSystemError,
     IntersectionEngine,
     LinearRelation,
+    LinearSystem,
     MonomialKeys,
     MonomialSyntaxError,
     UnsupportedMonomialError,
@@ -635,3 +636,188 @@ def test_evaluate_rejects_non_integer_exponents(engine):
         engine.evaluate(("9", 1) + (0,) * 11)
     with pytest.raises(TypeError):
         engine.evaluate((Fraction(9), 1) + (0,) * 11)
+
+
+def _reference_assemble(fan, relations=None, e_index=0):
+    """`assemble_system` as it was before its straight-line rewrite, kept
+    as the reference the rewrite must reproduce: a submask walk per cone,
+    a 13-step key per support, one sort of every block and unknown."""
+    if relations is None:
+        relations = build_relations(fan)
+    n = fan.ambient
+    n_rays = len(fan.rays)
+    if len(relations) != n or any(len(r.coefficients) != n_rays for r in relations):
+        raise ValueError(
+            "expected one relation per ambient coordinate with one coefficient per ray"
+        )
+    if not any(e_index in cone for cone in fan.top_cones):
+        raise ValueError("no top cone contains the exceptional ray")
+    keys = MonomialKeys(n_rays, n)
+    ones = keys.ones
+    ebit = 1 << e_index
+    admissible = {0}
+    for full in (sum(1 << r for r in c) ^ ebit for c in fan.top_cones if e_index in c):
+        sub = full
+        while sub:
+            admissible.add(sub)
+            sub = (sub - 1) & full
+    blocks = []
+    for s in admissible:
+        t = s.bit_count()
+        if t <= n - 2:
+            divisors = sum(o for r, o in enumerate(ones) if s >> r & 1)
+            blocks.append(((n - 1 - t) * ones[e_index] + divisors, s))
+    blocks.sort(key=lambda b: (b[1].bit_count(), -b[0]))
+    unknowns = sorted(
+        key + o for key, s in blocks for r, o in enumerate(ones) if (s | ebit) >> r & 1
+    )
+    return LinearSystem(
+        fan=fan,
+        e_index=e_index,
+        relations=relations,
+        keys=keys,
+        blocks=tuple(blocks),
+        columns={key: col for col, key in enumerate(unknowns)},
+    )
+
+
+def _reference_solve(system, atlas):
+    """`solve_system` as it was before its straight-line rewrite: a
+    containment scan per block and a bump dict over every ray."""
+    e, n, n_rays = system.e_index, system.fan.ambient, len(system.fan.rays)
+    keys, columns = system.keys, system.columns
+    ones = keys.ones
+    solved = dict.fromkeys(columns.values(), 0)
+    values, problems = {}, []
+    for mkey, s in reversed(system.blocks):
+        supp = s | 1 << e
+        top = s.bit_count() == n - 2
+        held = atlas.holding(supp)
+        if not held:
+            raise ValueError(f"block {format_monomial(keys.unpack(mkey))} lies in no top cone")
+        bumped = {
+            rho: 1 if top else values[mkey + ones[rho]]
+            for rho in range(n_rays)
+            if not supp >> rho & 1 and held & atlas.holders[rho]
+        }
+        for ray_k, row in atlas.rows((held & -held).bit_length() - 1).items():
+            y = 0
+            for rp, coeff in row:
+                y -= coeff * bumped.get(rp, 0)
+            if supp >> ray_k & 1:
+                ukey = mkey + ones[ray_k]
+                values[ukey] = y
+                col = columns.get(ukey)
+                if col is None:
+                    problems.append(
+                        f"block {format_monomial(keys.unpack(mkey))} solves "
+                        f"{format_monomial(keys.unpack(ukey))}, which is not a column"
+                    )
+                else:
+                    solved[col] += 1
+            else:
+                y -= bumped[ray_k]
+                if y != 0:
+                    problems.append(
+                        f"block {format_monomial(keys.unpack(mkey))}: coefficient of ray "
+                        f"{ray_k} must vanish but equals {y}"
+                    )
+    for ukey, col in columns.items():
+        if solved[col] > 1:
+            problems.append(
+                f"column {format_monomial(keys.unpack(ukey))} is solved by {solved[col]} blocks"
+            )
+    free_columns = tuple(sorted(col for col, times in solved.items() if times == 0))
+    return values, tuple(problems), len(solved) - len(free_columns), free_columns, values[n * ones[e]]
+
+
+def _assert_solves_as_the_reference(system, atlas=None):
+    """solve_system and the reference, each on its own fresh atlas or
+    both on `atlas`, give the same values in the same order, the same
+    problems in the same order, rank, free columns and E^n, or raise the
+    same error. Returns the solution, or the error's text."""
+    vectors = tuple(zip(*(rel.coefficients for rel in system.relations)))
+    try:
+        want = _reference_solve(system, atlas or ConeAtlas(vectors, system.fan.top_cones))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            solve_system(system, atlas)
+        assert str(info.value) == str(exc)
+        return str(exc)
+    sol = solve_system(system, atlas)
+    values, problems, rank, free_columns, e_top = want
+    assert list(sol.by_key.items()) == list(values.items())
+    assert sol.problems == problems
+    assert sol.consistent == (not problems)
+    assert (sol.rank, sol.free_columns, sol.e_top) == (rank, free_columns, e_top)
+    return sol
+
+
+@pytest.fixture(scope="module")
+def reference_fans(oracle_atlases):
+    """Per fan name, the fan and its exceptional ray. A4 has 11 rays, so
+    its ray masks span two bytes, as D4's 13 do."""
+    fans = {name: (fan, 0) for name, (fan, _) in oracle_atlases.items()}
+    fans["A4"] = (build_star_fan(_cartan_a(4)).fan, 0)
+    fans["blow-up"] = (plane_blowup_fan(), 2)
+    return fans
+
+
+@pytest.mark.parametrize("name", ["D4", "D4 moved", "A2", "A3", "A4", "P2", "blow-up"])
+def test_assembly_and_solve_match_the_reference(reference_fans, name):
+    fan, e = reference_fans[name]
+    system = assemble_system(fan, e_index=e)
+    want = _reference_assemble(fan, e_index=e)
+    assert tuple(system.blocks) == want.blocks
+    assert list(system.columns.items()) == list(want.columns.items())
+    assert _assert_solves_as_the_reference(system).problems == ()
+
+
+@pytest.mark.parametrize(("j", "r"), [(0, 1), (2, 0), (3, 5), (9, 12)])
+def test_a_corrupted_relation_solves_as_the_reference(star, j, r):
+    # One coefficient off by one: some make a cone non-unimodular and
+    # raise, some change the values.
+    relations = tuple(
+        rel._replace(
+            coefficients=tuple(c + (rel.index == j and k == r) for k, c in enumerate(rel.coefficients))
+        )
+        for rel in build_relations(star.fan)
+    )
+    system = assemble_system(star.fan, relations=relations, e_index=star.e_index)
+    want = _reference_assemble(star.fan, relations=relations, e_index=star.e_index)
+    assert (tuple(system.blocks), system.columns) == (want.blocks, want.columns)
+    _assert_solves_as_the_reference(system)
+
+
+def test_doctored_blowup_relations_solve_as_the_reference():
+    doctored = (LinearRelation(0, (1, 0, 2)), LinearRelation(1, (0, 1, 1)))
+    sol = _assert_solves_as_the_reference(
+        assemble_system(plane_blowup_fan(), relations=doctored, e_index=2)
+    )
+    assert any("must vanish" in p for p in sol.problems)
+
+
+@pytest.mark.parametrize("pivoted", [False, True], ids=["inverted", "pivoted"])
+def test_a_corrupted_atlas_row_solves_as_the_reference(engine, pivoted):
+    # The E-coordinate of the first ray outside cone 0, or outside its
+    # first wall neighbour, off by one in the atlas both solves read.
+    fan = engine.fan
+    system = assemble_system(fan, e_index=engine.e_index)
+    atlas = ConeAtlas(fan.rays, fan.top_cones)
+    atlas.rows(0)
+    cones = atlas.top_cones
+    ci = next(c for c in range(1, len(cones)) if len(cones[0] - cones[c]) == 1) if pivoted else 0
+    rows = atlas.rows(ci)
+    (rp, coeff), *rest = rows[0]
+    rows[0] = ((rp, coeff + 1), *rest)
+    sol = _assert_solves_as_the_reference(system, atlas)
+    assert sol.by_key != engine.solution.by_key
+
+
+def test_a_duplicated_block_and_an_extra_column_solve_as_the_reference(star):
+    system = assemble_system(star.fan, e_index=star.e_index)
+    system.blocks = system.blocks[:3] + system.blocks
+    system.columns[system.keys.pack((6, 2, 2) + (0,) * 10)] = len(system.columns)
+    sol = _assert_solves_as_the_reference(system)
+    assert [p.split()[-4:] for p in sol.problems] == [["solved", "by", "2", "blocks"]] * 5
+    assert sol.free_columns == (N_UNKNOWNS,)

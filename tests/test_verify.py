@@ -72,6 +72,29 @@ def test_stabilizer_check_fails_on_ragged_or_stray_facets(star, stabilizer):
     assert not _permutes_facets(12, stray, stabilizer)
 
 
+def test_stabilizer_check_fails_on_one_bad_member_of_a_pair(star, stabilizer):
+    # g and -g induce one ray permutation, which check 5's verdict,
+    # `_permutes_facets`, tests once. A bijection that moves no facet onto
+    # a facet, given to either member of the pair alone, is a second
+    # permutation, and is still tested.
+    facets = [f.incident for f in star.facets]
+    permutes = facet_permutation_test(12, facets)
+    els = stabilizer.elements
+    neg = tuple(tuple(-x for x in row) for row in els[0].matrix)
+    pair = (0, next(i for i, el in enumerate(els) if el.matrix == neg))
+    perm = els[0].ray_permutation
+    assert els[pair[1]].ray_permutation == perm
+    swapped = next(
+        bad
+        for i in range(12)
+        for k in range(i)
+        if not permutes(bad := perm[:k] + (perm[i],) + perm[k + 1 : i] + (perm[k],) + perm[i + 1 :])
+    )
+    for member in pair:
+        elements = els[:member] + (els[member]._replace(ray_permutation=swapped),) + els[member + 1 :]
+        assert not _permutes_facets(12, facets, Stabilizer(elements))
+
+
 def test_row_sweep_counts_the_rows_iter_rows_gives(star, stabilizer, system_rows):
     eng = IntersectionEngine(star.fan, star.e_index)
     # E^2 times the eight divisors of the last multiplier: a deep unknown,
