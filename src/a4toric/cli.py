@@ -343,9 +343,14 @@ def console_entry() -> None:
     """Run `main` and end the process with its status once standard output
     and standard error are flushed, without tearing the interpreter down:
     the command has written everything it will write, and freeing every
-    object at exit only costs time. An exception that escapes `main`,
-    a broken pipe among them, propagates with its traceback as before."""
-    status = main()
-    sys.stdout.flush()
+    object at exit only costs time. A reader that closed standard output
+    early ends the command with status 1 and no traceback, whether the
+    broken pipe shows in a print inside `main` or in the final flush; any
+    other exception that escapes `main` propagates with its traceback."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        status = 1
     sys.stderr.flush()
     os._exit(status)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import isqrt
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .cones import Cone, Facet, Fan, enumerate_facets
@@ -218,6 +218,33 @@ def facet_permutation_test(
     return permutes
 
 
+def _close(
+    generated: set[tuple[int, ...]], steps: list[itemgetter], new: tuple[int, ...]
+) -> None:
+    """Extend `generated`, the group of permutations that the generators
+    taken by `steps` generate, by the generator `new`, and append its
+    step. A step maps a permutation p to p composed with its generator.
+
+    The old group is closed under the old steps, so each of its elements
+    needs only the new one, and every element that appears then takes
+    every step until nothing new appears: a finite set closed under
+    composition with the generators is the group they generate."""
+    step = itemgetter(*new)
+    frontier = list(generated)
+    take = [step]
+    steps.append(step)
+    while frontier:
+        found = []
+        for p in frontier:
+            for s in take:
+                r = s(p)
+                if r not in generated:
+                    generated.add(r)
+                    found.append(r)
+        frontier = found
+        take = steps
+
+
 def compute_stabilizer(star: StarFan) -> Stabilizer:
     """All integer automorphisms of the form, as a permutation group on
     the rays.
@@ -227,7 +254,7 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     between the vectors of the diagonal norms are tabulated once, so the
     candidates for column i are the vectors of norm Q_ii intersected
     with the neighbour sets of the columns already chosen; the search
-    recurses over the columns in sorted order. Every element is checked
+    recurses over the columns in sorted order. The elements are checked
     to be unimodular, to permute the rays, to fix the barycenter and to
     permute the top cones; a failure of any check is a hard error because
     it would mean the fan does not actually carry the symmetry.
@@ -241,12 +268,28 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     eta, on every coordinate these vectors and rows can have; P is
     injective on that box, so equal keys mean equal vectors.
 
-    All four checks are invariant under negation: |det(-g)| = |det g|,
-    (-g) c = -(g c) is the same antipodal ray as g c, so -g induces the
-    same permutation of the rays and hence of the top cones, and
-    (-g) eta (-g)^T = g eta g^T. So an element whose exact negation has
-    already passed, found by its matrix, takes that element's
-    permutation; every other element runs every check.
+    Every element gets its ray permutation, checked to be a bijection.
+    That check is invariant under negation: (-g) c = -(g c) is the same
+    antipodal ray as g c, so -g induces the permutation of g: an element
+    whose negation came first takes that permutation, found by the
+    indices of its negated columns.
+
+    The other three checks run only on the kernel, the elements whose
+    permutation is the identity (I and -I on D4), and on a greedy
+    generating set: each element whose permutation the generators chosen
+    before it do not yet generate is checked when it is chosen (5 on D4).
+    That suffices, because the three properties survive products:
+    |det gh| = |det g| |det h|, gh eta (gh)^T = g (h eta h^T) g^T, and a
+    composition of permutations that map the top cones onto themselves
+    does too. The search returns the group of all form-preserving integer
+    matrices, on which g -> permutation is a homomorphism with that
+    kernel, so every element is a checked kernel element times a product
+    of checked generators. Two checks make an incomplete search fail
+    loudly: the permutations the generators generate must be exactly the
+    permutations found, and each permutation must be induced by as many
+    elements as the identity is, as each coset of the kernel is.
+    Generation is the classical closure (Butler, Fundamental Algorithms
+    for Permutation Groups, LNCS 559, 1991).
     """
     q = star.gram
     n = len(q)
@@ -299,27 +342,52 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     }
     eta_rows = [sum(map(mul, row, powers)) for row in eta]
     permutes_facets = facet_permutation_test(len(rays), [f.incident for f in star.facets])
-    # The permutation of each element that passed, by the negated matrix.
-    negations: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+    # neg[a]: the index of -vecs[a], or -1 where the search has no such vector.
+    neg = [position.get(tuple(-x for x in v), -1) for v in vecs]
+    identity = tuple(range(len(rays)))
+    # The permutation of each element awaiting its negation, keyed by the
+    # negation's columns.
+    negations: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # How many elements induce each permutation found.
+    counts: dict[tuple[int, ...], int] = {}
+    # The permutations the generators generate, and one step per generator.
+    generated = {identity}
+    steps: list[itemgetter] = []
     elements: list[LatticeAutomorphism] = []
     for chosen in columns(()):
         mat = tuple(zip(*(vecs[a] for a in chosen)))
-        perm = negations.get(mat)
+        cols = [packed[a] for a in chosen]
+        perm = negations.pop(chosen, None)
         if perm is None:
-            if abs(int_det(mat)) != 1:
-                raise StabilizerError(f"form-preserving matrix {mat} is not unimodular")
-            cols = [packed[a] for a in chosen]
             perm = tuple([ray_of.get(sum(map(mul, c, cols)), -1) for c in rays])
             if set(perm) != every_ray:
                 raise StabilizerError(
                     f"matrix {mat} does not map the rays bijectively onto the rays"
                 )
+            negations[tuple([neg[a] for a in chosen])] = perm
+        if perm == identity or perm not in generated:
+            if abs(int_det(mat)) != 1:
+                raise StabilizerError(f"form-preserving matrix {mat} is not unimodular")
             # Row k of eta g^T, packed, then row i of g eta g^T.
             eta_gt = [sum(map(mul, row, cols)) for row in eta]
             if any(sum(map(mul, row, eta_gt)) != x for row, x in zip(mat, eta_rows)):
                 raise StabilizerError(f"matrix {mat} moves the barycenter")
             if not permutes_facets(perm):
                 raise StabilizerError(f"matrix {mat} does not permute the top cones")
-            negations[tuple(tuple(-x for x in row) for row in mat)] = perm
+            if perm != identity:
+                _close(generated, steps, perm)
+        counts[perm] = counts.get(perm, 0) + 1
         elements.append(LatticeAutomorphism(mat, perm))
+    if generated != counts.keys():
+        raise StabilizerError(
+            f"the {len(steps)} generators generate {len(generated)} ray permutations, "
+            f"but the elements found induce {len(counts)}"
+        )
+    kernel = counts.get(identity, 0)
+    for perm, count in counts.items():
+        if count != kernel:
+            raise StabilizerError(
+                f"ray permutation {perm} is induced by {count} elements, "
+                f"the identity by {kernel}"
+            )
     return Stabilizer(tuple(elements))

@@ -126,60 +126,43 @@ def _cofactor_det(rows: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def _rref_kernel_line(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Fraction] | None:
-    """Spanning vector of a one-dimensional kernel, read off the rational
-    reduced row echelon form rather than the fraction-free elimination
-    that enumerate_facets uses."""
-    red, pivots = rref(rows)
-    if ncols - len(pivots) != 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        vec[c] = -red[r][free]
-    return vec
-
-
 def _facets_by_subset_scan(cone: Cone):
-    """Independent facet oracle: test every generator subset for spanning
-    a supporting hyperplane whose zero set is exactly that subset."""
+    """Independent facet oracle: a facet of a d-dimensional cone holds d-1
+    independent generators, so every (d-1)-subset of the generators is
+    tested for spanning a supporting hyperplane, and the hyperplane's zero
+    set on the generators is that facet's.
+
+    The candidate normal is read off the subset's pairings with an integer
+    basis of the span, the rational reduced row echelon rows each scaled
+    by the lcm of its denominators: its coefficients in that basis are the
+    signed (d-1)-minors of those pairings, by cofactor expansion rather
+    than the fraction-free elimination that enumerate_facets uses."""
     gens = cone.generators
     red, pivots = rref(gens)
     d = len(pivots)
     if d <= 1:
         return frozenset()
-    basis = [red[i] for i in range(d)]
+    basis = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in red[:d]]
     # Each generator's pairings with the basis, computed once for all
     # the subsets it belongs to.
-    projected = [
-        [sum(Fraction(g[k]) * b[k] for k in range(cone.ambient)) for b in basis]
-        for g in gens
-    ]
+    projected = [[sum(a * b for a, b in zip(g, row)) for row in basis] for g in gens]
     results = set()
-    for size in range(1, len(gens)):
-        for subset in combinations(range(len(gens)), size):
-            constraint = [projected[i] for i in subset]
-            coeffs = _rref_kernel_line(constraint, d)
-            if coeffs is None:
-                continue
-            vec = [
-                sum(coeffs[j] * basis[j][k] for j in range(d))
-                for k in range(cone.ambient)
-            ]
-            mult = lcm(*(x.denominator for x in vec))
-            normal = primitive_vector([int(x * mult) for x in vec])
-            values = [sum(a * b for a, b in zip(normal, g)) for g in gens]
-            if any(v > 0 for v in values) and any(v < 0 for v in values):
-                continue
-            if all(v == 0 for v in values):
-                continue
-            if any(v < 0 for v in values):
-                normal = tuple(-x for x in normal)
-                values = [-v for v in values]
-            incident = frozenset(i for i, v in enumerate(values) if v == 0)
-            if incident == frozenset(subset):
-                results.add((normal, incident))
+    for subset in combinations(projected, d - 1):
+        coeffs = [
+            (-1) ** j * _cofactor_det([p[:j] + p[j + 1 :] for p in subset]) for j in range(d)
+        ]
+        if not any(coeffs):
+            continue
+        normal = primitive_vector(
+            [sum(c * row[k] for c, row in zip(coeffs, basis)) for k in range(cone.ambient)]
+        )
+        values = [sum(a * b for a, b in zip(normal, g)) for g in gens]
+        if any(v > 0 for v in values) and any(v < 0 for v in values):
+            continue
+        if any(v < 0 for v in values):
+            normal = tuple(-x for x in normal)
+            values = [-v for v in values]
+        results.add((normal, frozenset(i for i, v in enumerate(values) if v == 0)))
     return frozenset(results)
 
 

@@ -506,6 +506,41 @@ def test_module_entry_keeps_the_traceback_of_an_escaping_exception(cli_env):
     assert proc.stderr.endswith("KeyError: 'escaped'\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fan", "report", "--format", "json", "--reproducible"],
+        ["tables", "igusa", "--reproducible"],
+    ],
+    ids=["print", "flush"],
+)
+def test_module_entry_exits_1_quietly_when_the_reader_has_closed(cli_env, argv):
+    # The child waits for a line on standard input, sent only after the
+    # reader's end of its standard output is closed. The fan report's
+    # JSON outgrows the buffer, so its print meets the broken pipe inside
+    # main; the Igusa table fits, so the final flush meets it.
+    code = (
+        "import sys\n"
+        "from a4toric import cli\n"
+        "sys.stdin.readline()\n"
+        f"sys.argv = ['a4toric', *{argv!r}]\n"
+        "cli.console_entry()\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env,
+    )
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(b"go\n", timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, stderr) == (1, b"")
+
+
 def test_every_command_tears_down_clean_under_dev_mode(cli_env):
     # The entry point's fast exit would hide a worker pipe or file left
     # open; here main runs with the interpreter's normal teardown, under

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -543,3 +544,104 @@ def test_stabilizer_rejects_matrix_that_is_not_unimodular(star, monkeypatch):
     monkeypatch.setattr(d4fan, "int_det", lambda rows: 2)
     with pytest.raises(StabilizerError, match="is not unimodular"):
         compute_stabilizer(star)
+
+
+GROUP_FORMS = pytest.mark.parametrize(
+    "gram", [D4_GRAM, _moved(SKEWED_BASIS), _cartan_a(3)], ids=["d4", "d4_skewed", "a3"]
+)
+
+
+def _checked_permutations(star, monkeypatch):
+    """The group of `star` and the permutations of the elements it was
+    checked on, read off the calls of the facet predicate."""
+    checked = []
+    real = d4fan.facet_permutation_test
+
+    def recording(n_rays, facets):
+        permutes = real(n_rays, facets)
+
+        def record(perm):
+            checked.append(tuple(perm))
+            return permutes(perm)
+
+        return record
+
+    monkeypatch.setattr(d4fan, "facet_permutation_test", recording)
+    return compute_stabilizer(star), checked
+
+
+@GROUP_FORMS
+def test_checked_elements_generate_every_permutation(gram, monkeypatch):
+    # Products of the checked permutations, found by a walk that
+    # composes on the other side from the search's closure, reach
+    # exactly the permutations of all elements.
+    star, group = _star_and_group(gram)
+    again, checked = _checked_permutations(star, monkeypatch)
+    assert again == group
+    identity = tuple(range(len(star.ray_vectors)))
+    assert checked.count(identity) == 2
+    reached = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in checked:
+            r = tuple(s[i] for i in p)
+            if r not in reached:
+                reached.add(r)
+                frontier.append(r)
+    assert reached == {el.ray_permutation for el in group.elements}
+
+
+@GROUP_FORMS
+def test_each_permutation_is_induced_by_two_elements(gram):
+    _, group = _star_and_group(gram)
+    counts = collections.Counter(el.ray_permutation for el in group.elements)
+    assert set(counts.values()) == {2}
+
+
+def _without(monkeypatch, dropped):
+    """Make the search's candidate vectors miss the vectors `dropped`."""
+    real = d4fan.short_vectors
+
+    def dropping(q, norm):
+        return tuple(v for v in real(q, norm) if v not in dropped)
+
+    monkeypatch.setattr(d4fan, "short_vectors", dropping)
+
+
+@pytest.mark.parametrize("drop", [0, 5, 23])
+def test_stabilizer_rejects_a_search_missing_a_candidate_vector(star, monkeypatch, drop):
+    # Without one norm-2 vector v the search misses every matrix with v
+    # as a column, so the negation of each matrix with -v as a column is
+    # missing: the lookup of v's index finds none, and the permutation
+    # of such a matrix is induced once, the identity's twice or once.
+    _without(monkeypatch, {short_vectors(D4_GRAM, 2)[drop]})
+    with pytest.raises(StabilizerError, match="is induced by 1 elements|the identity by 1$"):
+        compute_stabilizer(star)
+
+
+@pytest.mark.parametrize("v", [(0, 1, 0, 1), (1, 1, 1, 1), (1, 0, 0, 0)])
+def test_stabilizer_rejects_a_search_missing_an_antipodal_pair(star, monkeypatch, v):
+    # Without v and -v every element found still has its negation, but
+    # the permutations found are 384 of the 576 the generators generate.
+    _without(monkeypatch, {v, tuple(-x for x in v)})
+    with pytest.raises(StabilizerError, match="generate 576 ray permutations.* induce 384$"):
+        compute_stabilizer(star)
+
+
+def test_stabilizer_checks_only_generators_and_the_kernel(star, monkeypatch):
+    # Checking each of the 576 ± pairs calls int_det 585 times (9 in
+    # short_vectors) and the facet predicate 576 times; ±I and 5
+    # generators need 7 of each.
+    dets = []
+    real_det = d4fan.int_det
+
+    def counting_det(rows):
+        dets.append(1)
+        return real_det(rows)
+
+    monkeypatch.setattr(d4fan, "int_det", counting_det)
+    group, checked = _checked_permutations(star, monkeypatch)
+    assert group.order == 1152
+    assert len(dets) <= 20
+    assert len(checked) <= 8
