@@ -259,14 +259,13 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     permute the top cones; a failure of any check is a hard error because
     it would mean the fan does not actually carry the symmetry.
 
-    The ray and barycenter checks run on packed integers. Balanced
-    base-w packing, P(v) = sum of v_j w^j, is linear, so P(g c) = sum of
-    c_k P(column k) is one dot product with the packed columns, and row i
-    of g eta g^T packs to sum over k of g_ik sum over l of eta_kl
-    P(column l). The base w is
-    2B + 1 for a bound B, read off the candidate vectors, the rays and
-    eta, on every coordinate these vectors and rows can have; P is
-    injective on that box, so equal keys mean equal vectors.
+    The ray check runs on packed integers. Balanced base-w packing,
+    P(v) = sum of v_j w^j, is linear, so P(g c) = sum of c_k P(column k)
+    is one dot product with the packed columns. The base w is 2B + 1 for
+    a bound B, read off the candidate vectors and the rays, on every
+    coordinate g c and +-c can have; P is injective on that box, so
+    equal keys mean equal vectors. The barycenter check compares
+    g eta g^T with eta as integer matrices.
 
     Every element gets its ray permutation, checked to be a bijection.
     That check is invariant under negation: (-g) c = -(g c) is the same
@@ -330,8 +329,6 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
     bound = max(
         m * max(sum(map(abs, c)) for c in rays),  # g c
         max(abs(x) for c in rays for x in c),  # +-c
-        m * m * sum(abs(x) for row in eta for x in row),  # g eta g^T
-        max(abs(x) for row in eta for x in row),  # eta
     )
     powers = [(2 * bound + 1) ** j for j in range(n)]
     packed = [sum(map(mul, v, powers)) for v in vecs]
@@ -340,7 +337,6 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
         for i, v in enumerate(rays)
         for u in (v, tuple(-x for x in v))
     }
-    eta_rows = [sum(map(mul, row, powers)) for row in eta]
     permutes_facets = facet_permutation_test(len(rays), [f.incident for f in star.facets])
     # neg[a]: the index of -vecs[a], or -1 where the search has no such vector.
     neg = [position.get(tuple(-x for x in v), -1) for v in vecs]
@@ -368,9 +364,9 @@ def compute_stabilizer(star: StarFan) -> Stabilizer:
         if perm == identity or perm not in generated:
             if abs(int_det(mat)) != 1:
                 raise StabilizerError(f"form-preserving matrix {mat} is not unimodular")
-            # Row k of eta g^T, packed, then row i of g eta g^T.
-            eta_gt = [sum(map(mul, row, cols)) for row in eta]
-            if any(sum(map(mul, row, eta_gt)) != x for row, x in zip(mat, eta_rows)):
+            # eta g^T, then g eta g^T.
+            eta_gt = [[sum(map(mul, row, g_row)) for g_row in mat] for row in eta]
+            if [[sum(map(mul, g_row, col)) for col in zip(*eta_gt)] for g_row in mat] != eta:
                 raise StabilizerError(f"matrix {mat} moves the barycenter")
             if not permutes_facets(perm):
                 raise StabilizerError(f"matrix {mat} does not permute the top cones")

@@ -31,10 +31,10 @@ the ratio of their determinants, +-1. The linear system keys each
 monomial by one packed int (`MonomialKeys`, one byte per ray) and each
 support by a ray bitmask, and decodes to exponent tuples only at its
 public boundary; the recursive evaluator keys its memo by the same bytes,
-one per ray in ray order. Its public `evaluate` converts its argument to
-those bytes once and probes the memo before any check: the memo holds
-only keys the checks accept, so a repeated monomial is answered at once
-and only a miss is checked.
+one per ray in ray order. Its public `evaluate` probes the memo with its
+argument's bytes before any check: the memo holds only keys the checks
+accept, so a repeated monomial is answered at once and only a miss is
+checked.
 """
 
 from __future__ import annotations
@@ -618,13 +618,11 @@ class IntersectionEngine:
             )
         return Fraction(sol.e_top)
 
-    def _checked(self, key: tuple, packed: bytes | None) -> bytes:
+    def _checked(self, key: tuple) -> bytes:
         """The memo key of the monomial `key`: one byte per ray, in ray
         order (the bytes `MonomialKeys.pack` reads), after checking that
         `key` has one integer exponent per ray, none negative, of degree
-        equal to the ambient dimension. `packed` is `bytes(key)` when the
-        caller has built it, and None when that conversion raised or was
-        not tried.
+        equal to the ambient dimension.
 
         An exponent that is not an integer (a float, a Fraction, a str)
         raises TypeError rather than being truncated; bools and objects
@@ -632,15 +630,7 @@ class IntersectionEngine:
         run in this order, and the first that fails raises: every exponent
         is an integer (TypeError), the length is the ray count, no
         exponent is negative, the degree is the ambient dimension (each
-        ValueError).
-
-        A successful conversion means every exponent is an integer from 0
-        to 255; when the length and degree tests pass too, the monomial is
-        valid and `packed` is its key. Otherwise the checks above run one
-        by one on the same tuple, so each bad input gets the error they
-        give, and a valid one the same bytes."""
-        if packed is not None and len(packed) == self._n_rays and sum(packed) == self._ambient:
-            return packed
+        ValueError)."""
         key = tuple(map(operator.index, key))
         if len(key) != self._n_rays:
             raise ValueError("monomial length does not match the ray count")
@@ -657,7 +647,7 @@ class IntersectionEngine:
 
         `mono` may be any iterable; it is read once and checked as
         `_checked` describes."""
-        key = self._checked(tuple(mono), None)
+        key = self._checked(tuple(mono))
         if max(key) <= 1:
             # n rays inside an n-ray cone are its ray set.
             return int(self.atlas.cone_for(sum(1 << i for i, x in enumerate(key) if x)) is not None)
@@ -667,24 +657,22 @@ class IntersectionEngine:
         """Recursive engine: exact value of any degree-n monomial with
         positive exceptional exponent.
 
-        `mono` may be any iterable; it is read once. Its one `bytes`
-        conversion is the memo key, so a monomial already evaluated is
-        answered by one conversion and one dict probe, before any check:
-        the memo holds only keys the checks accept (see `_eval`), so no
-        input they reject can match one. On a miss, `mono` is checked as
-        `_checked` describes, with the errors it gives in its order and
-        the bytes already built; a valid monomial whose exceptional
-        exponent is 0 then raises UnsupportedMonomialError."""
+        `mono` may be any iterable; it is read once. Its `bytes` are the
+        memo key, so a monomial already evaluated is answered by one
+        conversion and one dict probe, before any check: the memo holds
+        only keys the checks accept (see `_eval`), so no input they reject
+        can match one. On a miss, `mono` is checked as `_checked`
+        describes, with the errors it gives in its order; a valid monomial
+        whose exceptional exponent is 0 then raises
+        UnsupportedMonomialError."""
         key = tuple(mono)
         try:
-            packed = bytes(key)
+            value = self._memo.get(bytes(key))
         except (TypeError, ValueError):
-            packed = None
-        else:
-            value = self._memo.get(packed)
-            if value is not None:
-                return value
-        packed = self._checked(key, packed)
+            value = None
+        if value is not None:
+            return value
+        packed = self._checked(key)
         if packed[self.e_index] < 1:
             raise UnsupportedMonomialError(
                 "the recursive engine only evaluates monomials with a "

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import errno
 import os
 import re
 
 import pytest
 
 from a4toric import verify
+from a4toric.cones import Fan
 from a4toric.d4fan import FanConstructionError, Stabilizer, facet_permutation_test
 from a4toric.intersection import (
     IntersectionEngine,
@@ -95,6 +97,38 @@ def test_stabilizer_check_fails_on_one_bad_member_of_a_pair(star, stabilizer):
         assert not _permutes_facets(12, facets, Stabilizer(elements))
 
 
+def _ragged(star):
+    first = star.facets[0]
+    ragged = first._replace(incident=first.incident - {min(first.incident)})
+    return star._replace(facets=(ragged,) + star.facets[1:])
+
+
+def _non_basic(star):
+    rays, tops = star.fan
+    doubled = (tuple(2 * x for x in rays[0]),) + rays[1:]
+    # Fan's own constructor refuses a non-basic cone.
+    return star._replace(fan=tuple.__new__(Fan, (doubled, tops)))
+
+
+@pytest.mark.parametrize(
+    ("broken", "actual"),
+    [
+        (
+            lambda star: star._replace(ray_vectors=star.ray_vectors[:11]),
+            "rays 11, facets 64 (9 rays each), cones 64 (all |det| 1)",
+        ),
+        (_ragged, "rays 12, facets 64 (ragged), cones 64 (all |det| 1)"),
+        (_non_basic, "rays 12, facets 64 (9 rays each), cones 64 (non-basic cone present)"),
+    ],
+    ids=["ray_missing", "ragged_facet", "non_basic_cone"],
+)
+def test_fan_check_names_what_is_wrong(star, stabilizer, broken, actual):
+    check = verify._independent_checks(broken(star), stabilizer)[0]
+    assert check.name == "fan_combinatorics"
+    assert not check.passed
+    assert check.actual == actual
+
+
 def test_row_sweep_counts_the_rows_iter_rows_gives(star, stabilizer, system_rows):
     eng = IntersectionEngine(star.fan, star.e_index)
     # E^2 times the eight divisors of the last multiplier: a deep unknown,
@@ -168,6 +202,20 @@ def test_run_all_without_fork_runs_in_process(star, stabilizer, engine, monkeypa
     monkeypatch.delattr(os, "fork")
     assert run_all(star, stabilizer, engine) == forked
     _assert_no_child()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_refused_fork_runs_the_worker_in_process(star, stabilizer, engine, monkeypatch):
+    forked = run_all(star, stabilizer, engine)
+    fds = set(os.listdir("/proc/self/fd"))
+
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run_all(star, stabilizer, engine) == forked
+    _assert_no_child()
+    assert set(os.listdir("/proc/self/fd")) == fds
 
 
 def test_run_all_reaps_the_worker_when_a_calling_check_raises(
