@@ -5,11 +5,13 @@ enumeration walks the generator subsets of size dim-1 depth first: the
 largest instance this package ever needs is twelve rays in Z^10 (220
 candidate subsets), far below the point where double-description style
 algorithms would pay off. Subsets that share a prefix share its
-fraction-free elimination, and a prefix that is already linearly
-dependent cuts off every subset that extends it. Cones of every
-dimension take the same integer path: each candidate covector is the
-kernel line of a subset of generators stacked on an integer kernel basis
-of all of them, so no rational arithmetic is involved.
+fraction-free echelon form, extended one generator at a time by the
+step in `exact` that all of the package's integer eliminations use, and
+a prefix that is already linearly dependent cuts off every subset that
+extends it. Cones of every dimension take the same integer path: each
+candidate covector is the kernel line of a subset of generators stacked
+on an integer kernel basis of all of them, so no rational arithmetic is
+involved.
 """
 
 from __future__ import annotations
@@ -17,7 +19,16 @@ from __future__ import annotations
 from operator import index, mul
 from typing import NamedTuple, Sequence
 
-from .exact import DimensionError, gcd_content, int_det, kernel_basis, primitive_vector
+from .exact import (
+    DimensionError,
+    _Echelon,
+    _echelon,
+    _extend,
+    _kernel,
+    gcd_content,
+    int_det,
+    kernel_basis,
+)
 
 __all__ = [
     "Cone",
@@ -85,44 +96,6 @@ class Facet(NamedTuple):
     incident: frozenset[int]
 
 
-# A fraction-free reduced echelon form (pivots, free, rows, det): pivot
-# row i carries det at column pivots[i] and 0 at the other pivot columns,
-# and rows[i][k] at column free[k]. Dividing by det gives the reduced row
-# echelon form, and every entry is a minor of the rows, so no step needs
-# a fraction.
-_Echelon = tuple[list[int], list[int], list[list[int]], int]
-
-
-def _extend(form: _Echelon, g: Sequence[int]) -> _Echelon | None:
-    """The reduced form of the rows of `form` and one more row g, or None
-    when g lies in their span.
-
-    Reducing g against the pivot rows, times det, leaves the minors
-    det(A g) on the free columns (A the old rows), with no division; its
-    first nonzero entry p becomes the new pivot and the new det, and
-    Bareiss's update (p * entry - multiplier * new entry) / det, an exact
-    division, clears that column from the old rows.
-    """
-    pivots, free, rows, det = form
-    new = [det * g[c] for c in free]
-    for c, row in zip(pivots, rows):
-        x = g[c]
-        if x:
-            new = [a - x * b for a, b in zip(new, row)]
-    j = next((k for k, x in enumerate(new) if x), None)
-    if j is None:
-        return None
-    p = new[j]
-    out = []
-    for row in rows:
-        f = row[j]
-        out.append([(p * a - f * b) // det for a, b in zip(row, new)])
-    out.append(new)
-    for row in out:
-        del row[j]
-    return pivots + [free[j]], free[:j] + free[j + 1 :], out, p
-
-
 def enumerate_facets(cone: Cone) -> list[Facet]:
     """All facets of a pointed cone; a ray has none.
 
@@ -135,8 +108,8 @@ def enumerate_facets(cone: Cone) -> list[Facet]:
     for a full-dimensional cone. The subsets are walked depth first,
     extending one echelon form of the basis by one generator per level;
     a dependent prefix has no one-dimensional kernel in any extension,
-    so its subtree is skipped, and at a leaf the kernel line is read off
-    the single free column. One-sidedness over the remaining generators
+    so its subtree is skipped, and a leaf's form has exactly one kernel
+    vector, the candidate. One-sidedness over the remaining generators
     filters genuine facets; a generator on which every facet covector
     vanishes witnesses a line in the cone.
     """
@@ -152,12 +125,7 @@ def enumerate_facets(cone: Cone) -> list[Facet]:
 
     def walk(form: _Echelon, start: int, left: int) -> None:
         if left == 0:
-            pivots, free, rows, det = form
-            line = [0] * cone.ambient
-            line[free[0]] = det
-            for c, row in zip(pivots, rows):
-                line[c] = -row[0]
-            normal = primitive_vector(line)
+            (normal,) = _kernel(form)
             values = [sum(map(mul, normal, g)) for g in gens]
             # A nonzero covector in the row space is nonzero on some
             # generator, so every candidate has a sign.
@@ -173,11 +141,7 @@ def enumerate_facets(cone: Cone) -> list[Facet]:
             if child is not None:
                 walk(child, i + 1, left - 1)
 
-    root: _Echelon = ([], list(range(cone.ambient)), [], 1)
-    for row in kernel:
-        # The kernel basis is independent, so every step extends.
-        root = _extend(root, row)
-    walk(root, 0, d - 1)
+    walk(_echelon(kernel, cone.ambient), 0, d - 1)
     for i, g in enumerate(gens):
         if all(sum(a * b for a, b in zip(normal, g)) == 0 for normal in found):
             raise DegenerateConeError(

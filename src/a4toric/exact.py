@@ -5,6 +5,15 @@ and `fractions.Fraction`; nothing here ever touches a float, so equality
 tests downstream are exact and meaningful. Only `rref` works over the
 rationals; every other function takes integer entries only.
 
+One fraction-free reduced echelon form, built one row at a time by
+`_extend` (Bareiss's exact-division update), is behind `rank`,
+`kernel_basis` and `unimodular_inverse`, and behind the facet search in
+`cones`, which extends one form per subset prefix and reads each
+candidate's kernel line off it with `_kernel`. Only this module knows the
+form's layout. Two other eliminations stay apart: `int_det`'s forward-only
+Bareiss, cheaper for a determinant, and `rref`, which keeps the
+verification oracles independent of the integer path.
+
 Matrices are plain sequences of equal-length rows. Functions return new
 tuples or lists and never mutate their arguments.
 """
@@ -115,60 +124,81 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
-def _integer_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Copy of an integer matrix with rows of `ncols` entries. Entries
-    must be integers; anything else, a Fraction included, raises
-    TypeError rather than being truncated."""
+# A fraction-free reduced echelon form (pivots, free, rows, det): pivot
+# row i carries det at column pivots[i] and 0 at the other pivot columns,
+# and rows[i][k] at column free[k]. Dividing by det gives the reduced row
+# echelon form, and every entry is a minor of the rows, so no step needs
+# a fraction.
+_Echelon = tuple[list[int], list[int], list[list[int]], int]
+
+
+def _extend(form: _Echelon, g: Sequence[int]) -> _Echelon | None:
+    """The reduced form of the rows of `form` and one more row g, or None
+    when g lies in their span; `form` itself is left as it was.
+
+    Reducing g against the pivot rows, times det, leaves the minors
+    det(A g) on the free columns (A the old rows), with no division; its
+    first nonzero entry p becomes the new pivot and the new det, and
+    Bareiss's update (p * entry - multiplier * new entry) / det, an exact
+    division, clears that column from the old rows.
+    """
+    pivots, free, rows, det = form
+    new = [det * g[c] for c in free]
+    for c, row in zip(pivots, rows):
+        x = g[c]
+        if x:
+            new = [a - x * b for a, b in zip(new, row)]
+    j = next((k for k, x in enumerate(new) if x), None)
+    if j is None:
+        return None
+    p = new[j]
     out = []
+    for row in rows:
+        f = row[j]
+        out.append([(p * a - f * b) // det for a, b in zip(row, new)])
+    out.append(new)
+    for row in out:
+        del row[j]
+    return pivots + [free[j]], free[:j] + free[j + 1 :], out, p
+
+
+def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> _Echelon:
+    """The reduced form of an integer matrix with rows of `ncols` entries,
+    extended one row at a time. Entries must be integers; anything else,
+    a Fraction included, raises TypeError rather than being truncated."""
+    form: _Echelon = ([], list(range(ncols)), [], 1)
     for row in rows:
         if len(row) != ncols:
             raise DimensionError("ragged matrix")
-        out.append([index(x) for x in row])
-    return out
+        form = _extend(form, [index(x) for x in row]) or form
+    return form
 
 
-def _fraction_free_reduce(mat: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+def _kernel(form: _Echelon) -> list[tuple[int, ...]]:
+    """Primitive integer vectors spanning the kernel of a form's rows.
 
-    Bareiss's update (pivot * entry - multiplier * pivot-row entry) divided
-    by the previous pivot is an exact integer division at every step, and
-    clearing above the pivot as well as below keeps it exact. Returns the
-    pivot columns and the last pivot d: pivot row i then carries d in its
-    own pivot column and 0 in the others, the rows below the pivots are
-    zero, and dividing by d gives the reduced row echelon form.
+    Each pivot row's first nonzero entry is its pivot, so the form is the
+    reduced row echelon form times det with its rows permuted: the kernel
+    vector of a free column has |det| there, 0 at the other free columns
+    and -rows[i][k] (times det's sign) at the i-th pivot column.
     """
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        found = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if found is None:
-            continue
-        mat[r], mat[found] = mat[found], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for i, row in enumerate(mat):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                mat[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-            elif p != prev:
-                mat[i] = [p * x // prev for x in row]
-        pivots.append(c)
-        prev = p
-        r += 1
-    return pivots, prev
+    pivots, free, rows, det = form
+    sign = 1 if det > 0 else -1
+    basis = []
+    for k, c in enumerate(free):
+        vec = [0] * (len(pivots) + len(free))
+        vec[c] = det * sign
+        for p, row in zip(pivots, rows):
+            vec[p] = -row[k] * sign
+        basis.append(primitive_vector(vec))
+    return basis
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix."""
     if not rows:
         return 0
-    return len(_fraction_free_reduce(_integer_rows(rows, len(rows[0])))[0])
+    return len(_echelon(rows, len(rows[0]))[0])
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -179,19 +209,7 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, .
     positive coordinate at that column and zero at the other non-pivot
     columns; the list is empty when the kernel is zero.
     """
-    mat = _integer_rows(rows, ncols)
-    pivots, d = _fraction_free_reduce(mat)
-    # The reduced form is mat / d, so the kernel vector of a free column
-    # has d there and -mat[i][free] at the i-th pivot column.
-    sign = 1 if d > 0 else -1
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[free] = d * sign
-        for i, c in enumerate(pivots):
-            vec[c] = -mat[i][free] * sign
-        basis.append(primitive_vector(vec))
-    return basis
+    return _kernel(_echelon(rows, ncols))
 
 
 def kernel_line(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...] | None:
@@ -204,15 +222,18 @@ def kernel_line(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...] | 
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact integer inverse of a square integer matrix with determinant +-1.
 
-    Eliminates [A | I] fraction-free; the left block ends as d I and the
-    right one as d A^-1, where d = +-det A is the last pivot, so for a
-    unimodular A the inverse is the right block times d.
+    Reduces [A | I] fraction-free. A is invertible exactly when every
+    pivot falls in the left block; the rows then end as d (I | A^-1) with
+    their pivots permuted, where d = +-det A is the last pivot, so for a
+    unimodular A row k of the inverse is d times the row whose pivot is
+    column k.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionError("unimodular_inverse requires a square matrix")
-    aug = [[index(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    pivots, d = _fraction_free_reduce(aug)
-    if pivots != list(range(n)) or d not in (1, -1):
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    pivots, free, right, d = _echelon(aug, 2 * n)
+    if free != list(range(n, 2 * n)) or d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (determinant {int_det(rows)})")
-    return [[x * d for x in row[n:]] for row in aug]
+    by_pivot = dict(zip(pivots, right))
+    return [[x * d for x in by_pivot[k]] for k in range(n)]

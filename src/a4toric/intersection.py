@@ -84,7 +84,7 @@ class InconsistentSystemError(RuntimeError):
 _FACTOR_RE = re.compile(r"^(E|D([1-9][0-9]*))(?:\^([+-]?[0-9]+))?$")
 
 
-def parse_monomial(text: str, ray_count: int = 13) -> Monomial:
+def parse_monomial(text: str, ray_count: int) -> Monomial:
     """Parse an expression like ``E^2*D3*D5`` into an exponent tuple.
 
     Ray 0 is named E; ray k is named Dk for k = 1..ray_count-1.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from math import lcm
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from a4toric.cones import Cone, enumerate_facets
 from a4toric.exact import (
     DimensionError,
+    _echelon,
+    _extend,
     gcd_content,
     int_det,
     kernel_basis,
@@ -131,8 +134,9 @@ def test_kernel_line():
         lambda rows: rank(rows),
         lambda rows: kernel_line(rows, 2),
         lambda rows: kernel_basis(rows, 2),
+        lambda rows: unimodular_inverse(rows),
     ],
-    ids=["rank", "kernel_line", "kernel_basis"],
+    ids=["rank", "kernel_line", "kernel_basis", "unimodular_inverse"],
 )
 def test_integer_rows_reject_non_rational_entries(call, entry):
     # Every entry goes through operator.index: a non-integer raises, a
@@ -252,6 +256,39 @@ def test_kernel_line_matches_fraction_rref(case):
     basis = kernel_basis(rows, ncols)
     assert basis == fraction_kernel_basis(rows, ncols)
     assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows for vec in basis)
+
+
+@given(kernel_cases())
+def test_rank_matches_fraction_rref(case):
+    rows, _ = case
+    assert rank(rows) == len(rref(rows)[1])
+
+
+@given(kernel_cases(), st.integers(1, 4).flatmap(small_int_matrix), unimodular_matrices())
+def test_no_function_mutates_its_argument(case, square, unimodular):
+    rows, ncols = case
+    calls = [
+        (rank, rows),
+        (lambda m: kernel_basis(m, ncols), rows),
+        (lambda m: kernel_line(m, ncols), rows),
+        (unimodular_inverse, square),
+        (unimodular_inverse, unimodular),
+        (int_det, square),
+    ]
+    for call, arg in calls:
+        before = copy.deepcopy(arg)
+        try:
+            call(arg)
+        except ValueError:
+            pass
+        assert arg == before
+    # The facet walk extends one parent form once per sibling, so the
+    # step must leave the form it extends as it was.
+    parent = _echelon(rows[: len(rows) // 2], ncols)
+    before = copy.deepcopy(parent)
+    for row in rows:
+        _extend(parent, row)
+        assert parent == before
 
 
 def test_kernel_line_rank_deficient_is_none():

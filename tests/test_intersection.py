@@ -44,14 +44,14 @@ def _squarefree(mono, fan):
 
 
 def test_parse_monomial_examples():
-    assert parse_monomial("E^10") == (10,) + (0,) * 12
-    assert parse_monomial("E^2*D3*D5") == (2, 0, 0, 1, 0, 1) + (0,) * 7
-    assert parse_monomial("E*E") == (2,) + (0,) * 12
-    assert parse_monomial("D2*E") == parse_monomial("E*D2")
-    assert parse_monomial("D12") == (0,) * 12 + (1,)
-    assert parse_monomial("D1^0")[1] == 0
+    assert parse_monomial("E^10", 13) == (10,) + (0,) * 12
+    assert parse_monomial("E^2*D3*D5", 13) == (2, 0, 0, 1, 0, 1) + (0,) * 7
+    assert parse_monomial("E*E", 13) == (2,) + (0,) * 12
+    assert parse_monomial("D2*E", 13) == parse_monomial("E*D2", 13)
+    assert parse_monomial("D12", 13) == (0,) * 12 + (1,)
+    assert parse_monomial("D1^0", 13)[1] == 0
     assert parse_monomial("D2", ray_count=3) == (0, 0, 1)
-    assert parse_monomial(" E * D1 ") == (1, 1) + (0,) * 11
+    assert parse_monomial(" E * D1 ", 13) == (1, 1) + (0,) * 11
 
 
 @pytest.mark.parametrize(
@@ -60,7 +60,7 @@ def test_parse_monomial_examples():
 )
 def test_parse_monomial_rejects(bad):
     with pytest.raises(MonomialSyntaxError):
-        parse_monomial(bad)
+        parse_monomial(bad, 13)
 
 
 def test_format_monomial():
@@ -74,7 +74,7 @@ def test_format_monomial():
 def test_parse_format_round_trip(exps):
     mono = tuple(exps)
     assume(any(e > 0 for e in mono))
-    assert parse_monomial(format_monomial(mono)) == mono
+    assert parse_monomial(format_monomial(mono), 13) == mono
 
 
 def test_build_relations():
