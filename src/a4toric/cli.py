@@ -321,6 +321,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact values print in full, past the interpreter's limit on
+    # int-to-string conversion (L^h has a 4,343-digit numerator at genus
+    # 57). Argument parsing keeps the limit, and it is restored on return
+    # because `main` also runs in-process. Interpreters before 3.10.7
+    # have no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if args.command == "fan":
             return _cmd_fan_report(args)
@@ -336,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     raise AssertionError("unreachable command")
 
 

@@ -13,15 +13,16 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
-from typing import NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .cones import Cone, Fan, enumerate_facets
 from .d4fan import StarFan, Stabilizer, build_star_fan, facet_permutation_test
 from .exact import int_det, primitive_vector, rref
 from .intersection import IntersectionEngine, format_monomial
-from .proportionality import bernoulli, l_top
+from .proportionality import ProportionalityResult, bernoulli, l_top
 from .tables import (
     FaberData,
     IgusaTable,
@@ -101,17 +102,26 @@ def plane_blowup_fan() -> Fan:
     )
 
 
-def _fmt(x) -> str:
-    return str(Fraction(x)) if not isinstance(x, str) else x
+class _Context:
+    """What the checks read: the fan under test, its stabilizer and its
+    engine, the tables that the caller-side checks share, each computed
+    on first use, and, once the worker has joined, check 10's rebuild."""
 
+    def __init__(self, star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine):
+        self.star, self.stabilizer, self.engine = star, stabilizer, engine
+        self.rebuilt: tuple[bool, int, bool] | None = None
 
-def _check(name: str, description: str, expected, actual) -> CheckResult:
-    e, a = _fmt(expected), _fmt(actual)
-    return CheckResult(name, description, e, a, e == a)
+    @cached_property
+    def lt(self) -> ProportionalityResult:
+        return l_top(4)
 
+    @cached_property
+    def faber(self) -> FaberData:
+        return FaberData.default()
 
-def _check_flag(name: str, description: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, description, "ok", "ok" if ok else (detail or "failed"), ok)
+    @cached_property
+    def igusa(self) -> IgusaTable:
+        return igusa_table(self.lt.value, self.faber)
 
 
 def _cofactor_det(rows: Sequence[Sequence[int]]) -> int:
@@ -289,180 +299,88 @@ def _serve(fd: int, fn, args) -> NoReturn:
         os._exit(0)
 
 
-def _independent_checks(
-    star: StarFan, stabilizer: Stabilizer
-) -> tuple[CheckResult, CheckResult, CheckResult, tuple[bool, int, bool]]:
-    """Checks 4, 5 and 9, and check 10's rebuild: the work of verify
-    that reads nothing the block solve of the engine under test makes.
+# Each check is a function of the context that returns its expected and
+# actual strings. A check that tests several conditions expects "ok" and
+# otherwise names what failed.
 
-    The rebuild comes back as whether its `StarFan` record equals
-    `star` in every field, and so renders the same, with its own E^n and
-    consistency for the caller to compare with the engine's solution.
-    """
-    # 4. Fan combinatorics.
+
+def _hodge_top_power(ctx: _Context) -> tuple[str, str]:
+    expected = f"{EXPECTED_L_TOP} (stack {EXPECTED_L_TOP_STACK})"
+    return expected, f"{ctx.lt.value} (stack {ctx.lt.stack_value})"
+
+
+def _first_table(ctx: _Context) -> tuple[str, str]:
+    return (
+        " ".join(str(v) for v in EXPECTED_FIRST_TABLE),
+        " ".join(str(ctx.igusa.a(k)) for k in range(TOP_DEGREE + 1)),
+    )
+
+
+def _recurrence_closure(ctx: _Context) -> tuple[str, str]:
+    """The input constants against the frozen table, and the derived table."""
+    faber, igusa, frozen = ctx.faber, ctx.igusa, IgusaTable(EXPECTED_FIRST_TABLE)
+    problems = []
+    if any(faber.b(k - 1) != 8 * frozen.a(k) - frozen.a(k - 1) for k in range(TOP_DEGREE, 0, -1)):
+        problems.append("input constants contradict the frozen table")
+    ok_derived, failing = verify_recurrence(igusa, faber)
+    if not ok_derived:
+        problems.append(f"derived table breaks the recurrence at k={failing}")
+    if not igusa.a(9) == igusa.a(8) == igusa.a(7) == 0:
+        problems.append("a_9, a_8, a_7 are not all zero")
+    return "ok", "; ".join(problems) or "ok"
+
+
+def _fan_combinatorics(ctx: _Context) -> tuple[str, str]:
+    star = ctx.star
     nine_each = all(len(f.incident) == 9 for f in star.facets)
     basic = all(
         abs(int_det([star.fan.rays[i] for i in sorted(c)])) == 1 for c in star.fan.top_cones
     )
-    fan_check = _check(
-        "fan_combinatorics",
-        "ray, facet, and cone counts of the subdivided cone, every facet with "
-        "nine rays and every cone basic",
+    return (
         f"rays {EXPECTED_RAY_COUNT}, facets {EXPECTED_FACET_COUNT} (9 rays each), "
         f"cones {EXPECTED_FACET_COUNT} (all |det| 1)",
-        (
-            f"rays {len(star.ray_vectors)}, facets {len(star.facets)} "
-            f"({'9 rays each' if nine_each else 'ragged'}), "
-            f"cones {len(star.fan.top_cones)} "
-            f"({'all |det| 1' if basic else 'non-basic cone present'})"
-        ),
+        f"rays {len(star.ray_vectors)}, facets {len(star.facets)} "
+        f"({'9 rays each' if nine_each else 'ragged'}), "
+        f"cones {len(star.fan.top_cones)} "
+        f"({'all |det| 1' if basic else 'non-basic cone present'})",
     )
 
-    # 5. Stabilizer order, counted as distinct matrices, and cone permutation.
+
+def _stabilizer(ctx: _Context) -> tuple[str, str]:
+    """The order counts distinct matrices."""
+    star, stabilizer = ctx.star, ctx.stabilizer
     permutes = _permutes_facets(
         len(star.ray_vectors), [f.incident for f in star.facets], stabilizer
     )
-    stabilizer_check = _check(
-        "stabilizer",
-        "order of the automorphism group of the quartic form, every element "
-        "permuting the top cones",
+    return (
         f"{EXPECTED_STABILIZER_ORDER} (permutes cones)",
         f"{stabilizer.order} ({'permutes cones' if permutes else 'does not permute cones'})",
     )
 
-    # 9. Embedded oracle suites.
-    oracle_problems: list[str] = []
-    for cone in _oracle_cones():
-        direct = frozenset((f.normal, f.incident) for f in enumerate_facets(cone))
-        scanned = _facets_by_subset_scan(cone)
-        if direct != scanned:
-            oracle_problems.append(f"facet oracle disagrees on {cone.generators}")
-    rng = random.Random(271828)
-    for n in (1, 2, 3, 4):
-        for _ in range(8):
-            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if int_det(mat) != _cofactor_det(mat):
-                oracle_problems.append(f"determinant oracle disagrees on {mat}")
-    for n in range(1, 21):
-        residual = sum(comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
-        if residual != 0:
-            oracle_problems.append(f"Bernoulli recurrence fails at n={n}")
-    for n in range(2, 21, 2):
-        denom = 1
-        for p in range(2, n + 2):
-            if all(p % q for q in range(2, p)) and n % (p - 1) == 0:
-                denom *= p
-        if bernoulli(n).denominator != denom:
-            oracle_problems.append(f"von Staudt-Clausen denominator fails at n={n}")
-    for name, fan, e_index, expected in (
-        ("projective plane", projective_plane_fan(), 0, 1),
-        ("plane blow-up", plane_blowup_fan(), 2, -1),
-    ):
-        toy = IntersectionEngine(fan, e_index)
-        top = tuple(
-            fan.ambient if i == e_index else 0 for i in range(len(fan.rays))
-        )
-        if toy.evaluate(top) != expected or toy.e_top != expected:
-            oracle_problems.append(f"toy fan {name} disagrees with {expected}")
-    oracle_check = _check_flag(
-        "oracle_suites",
-        "facet enumeration vs subset scan, determinant vs cofactor expansion, "
-        "Bernoulli recurrence and von Staudt-Clausen denominators, toy-fan "
-        "self-intersections via both engines",
-        not oracle_problems,
-        "; ".join(oracle_problems[:3]),
-    )
 
-    # 10, first half: an independent rebuild and re-solve.
-    fresh_star = build_star_fan()
-    fresh = IntersectionEngine(fresh_star.fan, fresh_star.e_index).solution
-    rebuilt = (fresh_star == star, fresh.e_top, fresh.consistent)
-    return fan_check, stabilizer_check, oracle_check, rebuilt
-
-
-def _engine_checks(stabilizer: Stabilizer, engine: IntersectionEngine) -> list[CheckResult]:
-    """Checks 1-3 and 6-8: the tables, and the engine's block solve and
-    row sweep."""
-    faber = FaberData.default()
-    checks: list[CheckResult] = []
-
-    # 1. Closed-form top power of the weight-one class.
-    lt = l_top(4)
-    checks.append(
-        _check(
-            "hodge_top_power",
-            "closed-form top self-intersection of the weight-one class at genus 4, "
-            "with the stack variant equal to half of it",
-            f"{EXPECTED_L_TOP} (stack {EXPECTED_L_TOP_STACK})",
-            f"{lt.value} (stack {lt.stack_value})",
-        )
-    )
-
-    # 2. First compactification table.
-    igusa = igusa_table(lt.value, faber)
-    checks.append(
-        _check(
-            "first_table",
-            "boundary intersection table on the first compactification, filled "
-            "downward from the top power by the recurrence",
-            " ".join(str(v) for v in EXPECTED_FIRST_TABLE),
-            " ".join(str(igusa.a(k)) for k in range(TOP_DEGREE + 1)),
-        )
-    )
-
-    # 3. Recurrence closure against the frozen table and the input constants.
-    expected_table = IgusaTable(EXPECTED_FIRST_TABLE)
-    closure_frozen = all(
-        faber.b(k - 1) == 8 * expected_table.a(k) - expected_table.a(k - 1)
-        for k in range(TOP_DEGREE, 0, -1)
-    )
-    ok_derived, failing = verify_recurrence(igusa, faber)
-    vanishing = igusa.a(9) == igusa.a(8) == igusa.a(7) == 0
-    detail = []
-    if not closure_frozen:
-        detail.append("input constants contradict the frozen table")
-    if not ok_derived:
-        detail.append(f"derived table breaks the recurrence at k={failing}")
-    if not vanishing:
-        detail.append("a_9, a_8, a_7 are not all zero")
-    checks.append(
-        _check_flag(
-            "recurrence_closure",
-            "input constants satisfy b_(k-1) = 8 a_k - a_(k-1) against the frozen "
-            "table; the three entries below the top vanish (codimension of the "
-            "deeper boundary)",
-            closure_frozen and ok_derived and vanishing,
-            "; ".join(detail),
-        )
-    )
-
-    # 6. Toric top self-intersection of the exceptional divisor.
-    sol = engine.solution
+def _exceptional_top_power(ctx: _Context) -> tuple[str, str]:
+    sol = ctx.engine.solution
     unique = sol.rank == sol.n_unknowns and not sol.free_columns
-    checks.append(
-        _check(
-            "exceptional_top_power",
-            "top self-intersection of the exceptional divisor from the block "
-            "linear system, reported consistent and uniquely determined",
-            f"{EXPECTED_E_TOP} (consistent, unique)",
-            f"{sol.e_top} ({'consistent' if sol.consistent else 'inconsistent'}, "
-            f"{'unique' if unique else 'underdetermined'})"
-            + (f"; first problem: {sol.problems[0]}" if sol.problems else ""),
-        )
+    return (
+        f"{EXPECTED_E_TOP} (consistent, unique)",
+        f"{sol.e_top} ({'consistent' if sol.consistent else 'inconsistent'}, "
+        f"{'unique' if unique else 'underdetermined'})"
+        + (f"; first problem: {sol.problems[0]}" if sol.problems else ""),
     )
 
-    # 7. Cross-agreement of the two engines, and every row identity. The
-    # rows are rebuilt from the raw relations rather than the shared cone
-    # atlas. All rows of one multiplier share its monomials, one per ray
-    # some relation uses: each is evaluated once per multiplier, and its
-    # nonzero value times the ray's column of the relations is added to
-    # the row sums. The bumps by rays of the support are the block's
-    # unknowns, looked up in the solution by packed key. Every monomial
-    # comes from the system itself, so the sweep skips the argument
-    # checks of the public evaluate and hands it the packed key's bytes,
-    # which are the evaluator's memo key.
-    system = engine.system
-    evaluate = engine._eval
+
+def _engine_agreement(ctx: _Context) -> tuple[str, str]:
+    """The rows are rebuilt from the raw relations rather than the shared
+    cone atlas. All rows of one multiplier share its monomials, one per
+    ray some relation uses: each is evaluated once per multiplier, and
+    its nonzero value times the ray's column of the relations is added to
+    the row sums. The bumps by rays of the support are the block's
+    unknowns, looked up in the solution by packed key. Every monomial
+    comes from the system itself, so the sweep skips the argument checks
+    of the public evaluate and hands it the packed key's bytes, which are
+    the evaluator's memo key."""
+    system, sol = ctx.engine.system, ctx.engine.solution
+    evaluate = ctx.engine._eval
     unpack = system.keys.unpack
     n_rays = system.keys.n_rays
     ray_terms = [
@@ -490,24 +408,21 @@ def _engine_checks(stabilizer: Stabilizer, engine: IntersectionEngine) -> list[C
         f"{system.relations[j].index}"
         for mkey, j in bad_rows[:1]
     ]
-    checks.append(
-        _check(
-            "engine_agreement",
-            "recursive evaluator agrees with the linear-system solution on every "
-            "unknown, and every relation-times-multiplier row sums to zero",
-            f"0 mismatches on {sol.n_unknowns} unknowns, 0 nonzero rows of {sol.n_rows}",
-            f"{len(mismatched)} mismatches on {sol.n_unknowns} unknowns, "
-            f"{len(bad_rows)} nonzero rows of {sol.n_rows}" + "".join(located),
-        )
+    return (
+        f"0 mismatches on {sol.n_unknowns} unknowns, 0 nonzero rows of {sol.n_rows}",
+        f"{len(mismatched)} mismatches on {sol.n_unknowns} unknowns, "
+        f"{len(bad_rows)} nonzero rows of {sol.n_rows}" + "".join(located),
     )
 
-    # 8. Second compactification table, both factors computed. A group
-    # with no elements leaves the corner undefined, which fails the check.
-    order = stabilizer.order
+
+def _second_table(ctx: _Context) -> tuple[str, str]:
+    """Both factors of the corner are computed. A group with no elements
+    leaves the corner undefined, which fails the check."""
+    e_top, order, igusa = ctx.engine.solution.e_top, ctx.stabilizer.order, ctx.igusa
     actual = f"no corner: group order {order}"
     if order:
-        corner = Fraction(sol.e_top, order)
-        vor = voronoi_table(igusa, Fraction(sol.e_top), order)
+        corner = Fraction(e_top, order)
+        vor = voronoi_table(igusa, Fraction(e_top), order)
         column_ok = all(vor.a(k, 0) == igusa.a(k) for k in range(TOP_DEGREE + 1))
         band_ok = all(
             vor.a(k, l) == 0
@@ -516,48 +431,133 @@ def _engine_checks(stabilizer: Stabilizer, engine: IntersectionEngine) -> list[C
             if (k, l) != (0, TOP_DEGREE)
         )
         actual = (
-            f"corner {vor.a(0, TOP_DEGREE)} = {sol.e_top}/{order}, "
+            f"corner {vor.a(0, TOP_DEGREE)} = {e_top}/{order}, "
             f"{'column match' if column_ok else 'column mismatch'}, "
             f"{'zero band' if band_ok and corner == vor.a(0, TOP_DEGREE) else 'nonzero band'}"
         )
-    checks.append(
-        _check(
-            "second_table",
-            "corner entry equals the toric count divided by the computed group "
-            "order; first column matches the first table; interior band vanishes",
-            f"corner {EXPECTED_CORNER} = {EXPECTED_E_TOP}/{EXPECTED_STABILIZER_ORDER}, "
-            "column match, zero band",
-            actual,
-        )
-    )
+    expected = f"corner {EXPECTED_CORNER} = {EXPECTED_E_TOP}/{EXPECTED_STABILIZER_ORDER}"
+    return f"{expected}, column match, zero band", actual
 
-    return checks
+
+def _oracle_suites(ctx: _Context) -> tuple[str, str]:
+    problems: list[str] = []
+    for cone in _oracle_cones():
+        direct = frozenset((f.normal, f.incident) for f in enumerate_facets(cone))
+        if direct != _facets_by_subset_scan(cone):
+            problems.append(f"facet oracle disagrees on {cone.generators}")
+    rng = random.Random(271828)
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if int_det(mat) != _cofactor_det(mat):
+                problems.append(f"determinant oracle disagrees on {mat}")
+    for n in range(1, 21):
+        if sum(comb(n + 1, k) * bernoulli(k) for k in range(n + 1)) != 0:
+            problems.append(f"Bernoulli recurrence fails at n={n}")
+    for n in range(2, 21, 2):
+        denom = 1
+        for p in range(2, n + 2):
+            if all(p % q for q in range(2, p)) and n % (p - 1) == 0:
+                denom *= p
+        if bernoulli(n).denominator != denom:
+            problems.append(f"von Staudt-Clausen denominator fails at n={n}")
+    for name, fan, e_index, expected in (
+        ("projective plane", projective_plane_fan(), 0, 1),
+        ("plane blow-up", plane_blowup_fan(), 2, -1),
+    ):
+        toy = IntersectionEngine(fan, e_index)
+        top = tuple(fan.ambient if i == e_index else 0 for i in range(len(fan.rays)))
+        if toy.evaluate(top) != expected or toy.e_top != expected:
+            problems.append(f"toy fan {name} disagrees with {expected}")
+    return "ok", "; ".join(problems[:3]) or "ok"
+
+
+def _determinism(ctx: _Context) -> tuple[str, str]:
+    """The worker's rebuild against the engine's solution. Byte-identity
+    of the full command output is asserted end to end by the acceptance
+    tests."""
+    sol = ctx.engine.solution
+    ok = ctx.rebuilt == (True, sol.e_top, sol.consistent)
+    return "ok", "ok" if ok else "rebuild or rendering drifted"
+
+
+# Where a check runs: in the calling process while the worker runs, in
+# the forked worker (reading only the fan, the stabilizer, frozen
+# constants and fresh builds), or in the calling process once the worker
+# has joined.
+_CALLER, _WORKER, _JOINED = "caller", "worker", "joined"
+
+
+class _Check(NamedTuple):
+    name: str
+    side: str
+    fn: Callable[[_Context], tuple[str, str]]
+    description: str
+
+    def run(self, ctx: _Context) -> CheckResult:
+        expected, actual = self.fn(ctx)
+        return CheckResult(self.name, self.description, expected, actual, expected == actual)
+
+
+# The checks in report order.
+_CHECKS = (
+    _Check("hodge_top_power", _CALLER, _hodge_top_power,
+           "closed-form top self-intersection of the weight-one class at genus 4, "
+           "with the stack variant equal to half of it"),
+    _Check("first_table", _CALLER, _first_table,
+           "boundary intersection table on the first compactification, filled "
+           "downward from the top power by the recurrence"),
+    _Check("recurrence_closure", _CALLER, _recurrence_closure,
+           "input constants satisfy b_(k-1) = 8 a_k - a_(k-1) against the frozen "
+           "table; the three entries below the top vanish (codimension of the "
+           "deeper boundary)"),
+    _Check("fan_combinatorics", _WORKER, _fan_combinatorics,
+           "ray, facet, and cone counts of the subdivided cone, every facet with "
+           "nine rays and every cone basic"),
+    _Check("stabilizer", _WORKER, _stabilizer,
+           "order of the automorphism group of the quartic form, every element "
+           "permuting the top cones"),
+    _Check("exceptional_top_power", _CALLER, _exceptional_top_power,
+           "top self-intersection of the exceptional divisor from the block "
+           "linear system, reported consistent and uniquely determined"),
+    _Check("engine_agreement", _CALLER, _engine_agreement,
+           "recursive evaluator agrees with the linear-system solution on every "
+           "unknown, and every relation-times-multiplier row sums to zero"),
+    _Check("second_table", _CALLER, _second_table,
+           "corner entry equals the toric count divided by the computed group "
+           "order; first column matches the first table; interior band vanishes"),
+    _Check("oracle_suites", _WORKER, _oracle_suites,
+           "facet enumeration vs subset scan, determinant vs cofactor expansion, "
+           "Bernoulli recurrence and von Staudt-Clausen denominators, toy-fan "
+           "self-intersections via both engines"),
+    _Check("determinism", _JOINED, _determinism,
+           "an independent rebuild reproduces the fan and the solved system "
+           "exactly, and rendering the report twice is byte-identical"),
+)
+
+
+def _run_side(ctx: _Context, side: str) -> dict[str, CheckResult]:
+    return {check.name: check.run(ctx) for check in _CHECKS if check.side == side}
+
+
+def _worker_side(ctx: _Context) -> tuple[dict[str, CheckResult], tuple[bool, int, bool]]:
+    """The worker's checks, then check 10's independent rebuild and
+    re-solve: whether its `StarFan` record equals `ctx.star` in every
+    field, and so renders the same, with its own E^n and consistency."""
+    results = _run_side(ctx, _WORKER)
+    fresh_star = build_star_fan()
+    fresh = IntersectionEngine(fresh_star.fan, fresh_star.e_index).solution
+    return results, (fresh_star == ctx.star, fresh.e_top, fresh.consistent)
 
 
 def run_all(star: StarFan, stabilizer: Stabilizer, engine: IntersectionEngine) -> VerifyReport:
-    """Run the full check suite over a built fan, its stabilizer and an
-    engine on that fan, and return one result per criterion.
-
-    Checks 4, 5 and 9 and the rebuild of check 10 read only `star`,
-    `stabilizer` and fresh builds, so a forked worker runs them while
-    this process solves and sweeps the engine for checks 1-3 and 6-8.
-    """
-    with _Worker(_independent_checks, star, stabilizer) as worker:
-        own = _engine_checks(stabilizer, engine)
-        fan_check, stabilizer_check, oracle_check, rebuilt = worker.join()
-
-    # 10. Determinism: a fresh rebuild reproduces the headline numbers and
-    # serialization is stable. Byte-identity of the full command output is
-    # asserted again end to end by the acceptance tests.
-    same, fresh_e_top, fresh_consistent = rebuilt
-    sol = engine.solution
-    determinism_check = _check_flag(
-        "determinism",
-        "an independent rebuild reproduces the fan and the solved system "
-        "exactly, and rendering the report twice is byte-identical",
-        same and fresh_e_top == sol.e_top and fresh_consistent == sol.consistent,
-        "rebuild or rendering drifted",
-    )
-    return VerifyReport(
-        (*own[:3], fan_check, stabilizer_check, *own[3:], oracle_check, determinism_check)
-    )
+    """Run every check over a built fan, its stabilizer and an engine on
+    that fan, and return their results in the order of `_CHECKS`. A forked
+    worker runs the worker side while this process solves and sweeps the
+    engine for the caller side."""
+    ctx = _Context(star, stabilizer, engine)
+    with _Worker(_worker_side, ctx) as worker:
+        results = _run_side(ctx, _CALLER)
+        worker_results, ctx.rebuilt = worker.join()
+    results.update(worker_results, **_run_side(ctx, _JOINED))
+    return VerifyReport(tuple(results[check.name] for check in _CHECKS))

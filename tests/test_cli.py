@@ -17,6 +17,7 @@ from a4toric.d4fan import FanConstructionError
 from a4toric.cli import main
 from a4toric.exact import unimodular_inverse
 from a4toric.intersection import IntersectionEngine
+from a4toric.proportionality import l_top
 from a4toric.tables import FaberData
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
@@ -187,6 +188,34 @@ def test_tables_ltop(capsys):
         capsys, ["tables", "ltop", "--genus", "2", "--format", "json", "--reproducible"]
     )
     assert as_fraction(low["results"]["value"]) == Fraction(1, 1440)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int-to-string conversion"
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_tables_ltop_prints_values_past_the_int_string_limit(capsys, fmt):
+    # L^h at genus 57 has a 4,343-digit numerator, past the interpreter's
+    # default limit of 4,300 digits; main lifts the limit only while the
+    # command runs.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys, ["tables", "ltop", "--genus", "57", "--format", fmt, "--reproducible"]
+    )
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = l_top(57).value
+        assert len(str(expected.numerator)) == 4343
+        if fmt == "json":
+            printed = as_fraction(json.loads(out)["results"]["variety_value"])
+        else:
+            line = next(l for l in out.splitlines() if l.startswith("variety value: "))
+            printed = Fraction(line.removeprefix("variety value: "))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == expected
 
 
 def test_tables_igusa(capsys):

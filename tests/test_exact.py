@@ -138,7 +138,7 @@ def test_kernel_line():
     ],
     ids=["rank", "kernel_line", "kernel_basis", "unimodular_inverse"],
 )
-def test_integer_rows_reject_non_rational_entries(call, entry):
+def test_matrix_functions_reject_non_integer_entries(call, entry):
     # Every entry goes through operator.index: a non-integer raises, a
     # Fraction and an integral float included, rather than being scaled
     # or truncated.

@@ -123,10 +123,31 @@ def _non_basic(star):
     ids=["ray_missing", "ragged_facet", "non_basic_cone"],
 )
 def test_fan_check_names_what_is_wrong(star, stabilizer, broken, actual):
-    check = verify._independent_checks(broken(star), stabilizer)[0]
+    ctx = verify._Context(broken(star), stabilizer, None)
+    check = verify._run_side(ctx, verify._WORKER)["fan_combinatorics"]
     assert check.name == "fan_combinatorics"
     assert not check.passed
     assert check.actual == actual
+
+
+class _UnsolvedEngine(IntersectionEngine):
+    """An engine whose block system and solution must not be read."""
+
+    @property
+    def system(self):
+        raise AssertionError("the block system was read")
+
+    @property
+    def solution(self):
+        raise AssertionError("the solution was read")
+
+
+def test_worker_side_reads_nothing_of_the_engines_solve(star, stabilizer):
+    ctx = verify._Context(star, stabilizer, _UnsolvedEngine(star.fan, star.e_index))
+    results, rebuilt = verify._worker_side(ctx)
+    assert list(results) == ["fan_combinatorics", "stabilizer", "oracle_suites"]
+    assert all(check.passed for check in results.values())
+    assert rebuilt == (True, -1680, True)
 
 
 def test_row_sweep_counts_the_rows_iter_rows_gives(star, stabilizer, system_rows):
@@ -204,6 +225,27 @@ def test_run_all_without_fork_runs_in_process(star, stabilizer, engine, monkeypa
     _assert_no_child()
 
 
+def test_forked_and_in_process_reports_agree_on_failures(star, stabilizer, monkeypatch):
+    # Check 5 runs in the worker and fails on a non-bijective element;
+    # check 7 runs in the caller and fails on a corrupted memo entry.
+    first = stabilizer.elements[0]
+    collapsed = first._replace(ray_permutation=(0, 0) + first.ray_permutation[2:])
+    broken = Stabilizer((collapsed,) + stabilizer.elements[1:])
+    eng = IntersectionEngine(star.fan, star.e_index)
+    last = eng.system.multipliers[-1]
+    mono = bytes((last[0] + 1,) + last[1:])
+    eng._eval(mono)
+    eng._memo[mono] += 1
+    forked = run_all(star, broken, eng)
+    monkeypatch.delattr(os, "fork")
+    in_process = run_all(star, broken, eng)
+    assert [c.name for c in forked.checks if not c.passed] == ["stabilizer", "engine_agreement"]
+    assert len(in_process.checks) == len(forked.checks) == 10
+    for ours, theirs in zip(in_process.checks, forked.checks):
+        assert ours == theirs
+    _assert_no_child()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_a_refused_fork_runs_the_worker_in_process(star, stabilizer, engine, monkeypatch):
     forked = run_all(star, stabilizer, engine)
@@ -243,7 +285,7 @@ def test_worker_exception_keeps_its_type(star, stabilizer, engine, monkeypatch):
 
 
 def test_worker_dying_without_a_result_names_its_status(star, stabilizer, engine, monkeypatch):
-    monkeypatch.setattr(verify, "_independent_checks", lambda *args: os._exit(3))
+    monkeypatch.setattr(verify, "_worker_side", lambda *args: os._exit(3))
     with pytest.raises(RuntimeError, match="without a result, exit status 3"):
         run_all(star, stabilizer, engine)
     _assert_no_child()
