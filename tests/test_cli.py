@@ -139,7 +139,7 @@ def test_intersection_facet_monomial(capsys, star):
 
 def test_intersection_non_column_monomial(capsys, star):
     # Two squared boundary factors: valid for the recursive engine, but
-    # not a column of the linear system.
+    # solved by no block of the linear system.
     i, j = sorted(star.facets[0].incident)[:2]
     expr = f"E^6*D{i + 1}^2*D{j + 1}^2"
     doc = run_json(capsys, ["intersection", expr, "--format", "json", "--reproducible"])

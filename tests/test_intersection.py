@@ -109,7 +109,7 @@ def test_assemble_system_shape(engine):
         assert sum(mult) == 9
         assert mult[0] >= 1
         assert all(e <= 1 for e in mult[1:])
-    for mono in rng.sample(sorted(map(system.keys.unpack, system.columns)), 25):
+    for mono in rng.sample(sorted(engine.solution.values), 25):
         assert sum(mono) == 10
         assert mono[0] >= 1
         repeated = [e for e in mono[1:] if e >= 2]
@@ -135,10 +135,7 @@ def test_solve_system(engine):
     assert sol.e_top == E_TOP
     assert sol.n_unknowns == N_UNKNOWNS
     assert sol.n_rows == N_ROWS
-    assert sol.rank == N_UNKNOWNS
-    assert sol.free_columns == ()
-    assert len(sol.values) == N_UNKNOWNS
-    assert set(sol.values) == set(map(engine.system.keys.unpack, engine.system.columns))
+    assert sol.rank == len(sol.values) == N_UNKNOWNS
     assert all(isinstance(v, int) for v in sol.values.values())
     assert engine.e_top == Fraction(E_TOP)
 
@@ -569,35 +566,27 @@ def test_cone_bitsets_match_a_scan_of_every_ray_set(star):
     assert atlas.cone_for(1 << n_rays) is None
 
 
-def test_unsolved_column_is_free():
-    system = assemble_system(plane_blowup_fan(), e_index=2)
-    system.columns[system.keys.pack((1, 1, 0))] = 1
-    sol = solve_system(system)
-    assert sol.consistent
-    assert sol.free_columns == (1,)
-    assert sol.rank == 1
-    assert sol.n_unknowns == 2
-
-
 def test_column_solved_twice_is_a_problem():
     system = assemble_system(plane_blowup_fan(), e_index=2)
     system.blocks = system.blocks * 2
     sol = solve_system(system)
     assert not sol.consistent
     assert sol.problems == ("column D2^2 is solved by 2 blocks",)
-    assert sol.free_columns == ()
+    assert sol.rank == sol.n_unknowns == 1
 
 
-def test_extra_column_fails_uniqueness_check(star, stabilizer):
+def test_a_duplicated_block_fails_check_6_as_inconsistent(star, stabilizer):
+    # The first block, E^9, solves E^10; a second copy solves it again.
     eng = IntersectionEngine(star.fan, star.e_index)
-    columns = eng.system.columns
-    columns[eng.system.keys.pack((6, 2, 2) + (0,) * 10)] = len(columns)
-    assert eng.solution.free_columns == (N_UNKNOWNS,)
-    assert eng.solution.rank == N_UNKNOWNS
+    eng.system.blocks = eng.system.blocks[:1] + eng.system.blocks
+    assert eng.solution.problems == ("column E^10 is solved by 2 blocks",)
     report = run_all(star=star, stabilizer=stabilizer, engine=eng)
     check = next(c for c in report.checks if c.name == "exceptional_top_power")
     assert not check.passed
-    assert check.actual == f"{E_TOP} (consistent, underdetermined)"
+    # Every key is still solved, so the rank stays n_unknowns.
+    assert check.actual == (
+        f"{E_TOP} (inconsistent, unique); first problem: column E^10 is solved by 2 blocks"
+    )
 
 
 def test_assemble_system_validates_relations():
@@ -641,7 +630,9 @@ def test_evaluate_rejects_non_integer_exponents(engine):
 def _reference_assemble(fan, relations=None, e_index=0):
     """`assemble_system` as it was before its straight-line rewrite, kept
     as the reference the rewrite must reproduce: a submask walk per cone,
-    a 13-step key per support, one sort of every block and unknown."""
+    a 13-step key per support, one sort of every block and unknown.
+    Returns the system and its own listing of the unknowns, each key's
+    column in key order, which the system itself does not keep."""
     if relations is None:
         relations = build_relations(fan)
     n = fan.ambient
@@ -671,21 +662,24 @@ def _reference_assemble(fan, relations=None, e_index=0):
     unknowns = sorted(
         key + o for key, s in blocks for r, o in enumerate(ones) if (s | ebit) >> r & 1
     )
-    return LinearSystem(
+    system = LinearSystem(
         fan=fan,
         e_index=e_index,
         relations=relations,
         keys=keys,
         blocks=tuple(blocks),
-        columns={key: col for col, key in enumerate(unknowns)},
+        n_unknowns=len(unknowns),
     )
+    return system, {key: col for col, key in enumerate(unknowns)}
 
 
-def _reference_solve(system, atlas):
+def _reference_solve(system, atlas, columns):
     """`solve_system` as it was before its straight-line rewrite: a
-    containment scan per block and a bump dict over every ray."""
+    containment scan per block and a bump dict over every ray, with each
+    solve counted against `columns`, the unknowns listed by
+    `_reference_assemble`."""
     e, n, n_rays = system.e_index, system.fan.ambient, len(system.fan.rays)
-    keys, columns = system.keys, system.columns
+    keys = system.keys
     ones = keys.ones
     solved = dict.fromkeys(columns.values(), 0)
     values, problems = {}, []
@@ -734,11 +728,14 @@ def _reference_solve(system, atlas):
 def _assert_solves_as_the_reference(system, atlas=None):
     """solve_system and the reference, each on its own fresh atlas or
     both on `atlas`, give the same values in the same order, the same
-    problems in the same order, rank, free columns and E^n, or raise the
-    same error. Returns the solution, or the error's text."""
+    problems in the same order, rank and E^n, or raise the same error;
+    the solve writes exactly the keys of the reference's listing, and the
+    reference finds none of them free. Returns the solution, or the
+    error's text."""
     vectors = tuple(zip(*(rel.coefficients for rel in system.relations)))
+    _, columns = _reference_assemble(system.fan, system.relations, system.e_index)
     try:
-        want = _reference_solve(system, atlas or ConeAtlas(vectors, system.fan.top_cones))
+        want = _reference_solve(system, atlas or ConeAtlas(vectors, system.fan.top_cones), columns)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
             solve_system(system, atlas)
@@ -749,7 +746,8 @@ def _assert_solves_as_the_reference(system, atlas=None):
     assert list(sol.by_key.items()) == list(values.items())
     assert sol.problems == problems
     assert sol.consistent == (not problems)
-    assert (sol.rank, sol.free_columns, sol.e_top) == (rank, free_columns, e_top)
+    assert (sol.rank, sol.e_top, free_columns) == (rank, e_top, ())
+    assert sol.by_key.keys() == columns.keys()
     return sol
 
 
@@ -767,10 +765,12 @@ def reference_fans(oracle_atlases):
 def test_assembly_and_solve_match_the_reference(reference_fans, name):
     fan, e = reference_fans[name]
     system = assemble_system(fan, e_index=e)
-    want = _reference_assemble(fan, e_index=e)
+    want, columns = _reference_assemble(fan, e_index=e)
     assert tuple(system.blocks) == want.blocks
-    assert list(system.columns.items()) == list(want.columns.items())
-    assert _assert_solves_as_the_reference(system).problems == ()
+    assert system.n_unknowns == want.n_unknowns == len(columns)
+    sol = _assert_solves_as_the_reference(system)
+    assert sol.problems == ()
+    assert system.n_unknowns == len(sol.by_key) == sol.rank
 
 
 @pytest.mark.parametrize(("j", "r"), [(0, 1), (2, 0), (3, 5), (9, 12)])
@@ -784,8 +784,8 @@ def test_a_corrupted_relation_solves_as_the_reference(star, j, r):
         for rel in build_relations(star.fan)
     )
     system = assemble_system(star.fan, relations=relations, e_index=star.e_index)
-    want = _reference_assemble(star.fan, relations=relations, e_index=star.e_index)
-    assert (tuple(system.blocks), system.columns) == (want.blocks, want.columns)
+    want, _ = _reference_assemble(star.fan, relations=relations, e_index=star.e_index)
+    assert (tuple(system.blocks), system.n_unknowns) == (want.blocks, want.n_unknowns)
     _assert_solves_as_the_reference(system)
 
 
@@ -814,10 +814,33 @@ def test_a_corrupted_atlas_row_solves_as_the_reference(engine, pivoted):
     assert sol.by_key != engine.solution.by_key
 
 
-def test_a_duplicated_block_and_an_extra_column_solve_as_the_reference(star):
+def test_a_duplicated_block_solves_as_the_reference(star):
     system = assemble_system(star.fan, e_index=star.e_index)
     system.blocks = system.blocks[:3] + system.blocks
-    system.columns[system.keys.pack((6, 2, 2) + (0,) * 10)] = len(system.columns)
     sol = _assert_solves_as_the_reference(system)
     assert [p.split()[-4:] for p in sol.problems] == [["solved", "by", "2", "blocks"]] * 5
-    assert sol.free_columns == (N_UNKNOWNS,)
+    assert sol.rank == N_UNKNOWNS
+
+
+def test_keys_solved_twice_are_listed_in_key_order_whatever_the_block_order(star):
+    # The first three blocks duplicated in front of the system, in either
+    # order, give the same problems: the keys the reference lists for
+    # them, in the reference's key order.
+    system = assemble_system(star.fan, e_index=star.e_index)
+    blocks = system.blocks
+    _, columns = _reference_assemble(star.fan, e_index=star.e_index)
+    ones, ebit = system.keys.ones, 1 << star.e_index
+    twice = {
+        mkey + one for mkey, s in blocks[:3] for r, one in enumerate(ones) if (s | ebit) >> r & 1
+    }
+    want = tuple(
+        f"column {format_monomial(system.keys.unpack(ukey))} is solved by 2 blocks"
+        for ukey in columns
+        if ukey in twice
+    )
+    assert len(want) == 5
+    for doubled in (blocks[:3] + blocks, blocks[2::-1] + blocks):
+        system.blocks = doubled
+        sol = solve_system(system)
+        assert sol.problems == want
+        assert len(sol.by_key) == sol.rank == system.n_unknowns == N_UNKNOWNS
